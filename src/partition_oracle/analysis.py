@@ -6,8 +6,6 @@ against — so they are desk-scale tools by construction.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -25,17 +23,6 @@ from .oracle import (
 from .params import MAX_K_CANDIDATES
 from .params import OracleParams
 from .seeds import SeedContext
-
-
-def worker_count() -> int:
-    """Worker cap from PO_THREADS; defaults to 1 (fully sequential)."""
-    raw = os.environ.get("PO_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
 
 
 @dataclass(frozen=True)
@@ -263,29 +250,30 @@ def differential_check(
     thresholds: PhaseThresholds | None = None,
     local_fn: Callable[[int], VertexSet] | None = None,
 ) -> DifferentialReport:
-    """Audit that the local query path reproduces the global partition.
+    """Audit that a separate local engine reproduces the global partition.
 
-    ``local_fn`` defaults to the oracle's own piece query; tests inject a
-    deliberately wrong one to prove the audit can fail.
+    Without given ``thresholds`` each side chooses its own, and every phase
+    whose thresholds differ is a divergence, reported ahead of any vertex.
+    Tests inject a wrong ``local_fn`` to prove the audit can fail.
     """
-    engine = PartitionOracle(g, ctx, thresholds)
-    reference = engine.global_partition()
+    reference_engine = PartitionOracle(g, ctx, thresholds)
+    reference = reference_engine.global_partition()
+    local = PartitionOracle(g, ctx, thresholds)
     if local_fn is None:
-        local_fn = engine.find_partition
-
-    vertices = range(g.n)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            local_pieces = list(pool.map(local_fn, vertices))
-    else:
-        local_pieces = [local_fn(v) for v in vertices]
+        local_fn = local.find_partition
 
     divergences = 0
     first: dict | None = None
-    for v in vertices:
+    if thresholds is None:
+        pairs = zip(local.thresholds().k, reference_engine.thresholds().k)
+        for h, (k_local, k_global) in enumerate(pairs, start=1):
+            if k_local != k_global:
+                divergences += 1
+                if first is None:
+                    first = {"phase": h, "local": k_local, "global": k_global}
+    for v in range(g.n):
         expected = reference.piece_containing(g, v)
-        got = tuple(local_pieces[v])
+        got = tuple(local_fn(v))
         if got != expected:
             divergences += 1
             if first is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from statistics import pvariance
 from typing import Callable, Mapping
@@ -18,10 +18,9 @@ from .diffusion import exact_number
 from .graphs import BoundedDegreeGraph, VertexSet, induced_edges
 from .oracle import PartitionOracle, PhaseThresholds
 from .params import OracleParams, derive_params
-from .seeds import SeedContext
+from .seeds import SeedContext, check_master_seed
 from .solvers import (
     DEFAULT_SOLVER_CAP,
-    Edge,
     is_bipartite,
     is_triangle_free,
     maximum_independent_set,
@@ -50,29 +49,52 @@ _GOLDEN = 0x9E3779B97F4A7C15  # odd constant for substream seed mixing
 
 def trial_seed(master_seed: int, index: int) -> int:
     """The master seed of substream ``index`` (used for tester retries)."""
-    return (master_seed + (index + 1) * _GOLDEN) % 2 ** 64
+    return (check_master_seed(master_seed) + (index + 1) * _GOLDEN) % 2 ** 64
 
 
 def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
     """Convert a JSON-friendly override mapping to derive_params form.
 
-    The one non-passthrough key is ``k_max``: size-threshold candidates are
-    stored in configs as a single upper bound and expanded to 1..k_max here.
+    Two keys are not passed through.  ``k_max``: size-threshold candidates
+    are stored in configs as a single upper bound and expanded to 1..k_max
+    here.  ``exact``: any nonzero number selects exact arithmetic, zero
+    selects double.
     """
     out: dict[str, object] = {}
     if raw:
         for key, value in raw.items():
             if key == "k_max":
                 out["k_candidates"] = range(1, int(value) + 1)
+            elif key == "exact":
+                if not isinstance(value, (int, float)):
+                    raise ValueError(f"exact expects a number, got {value!r}")
+                out["arithmetic"] = "exact" if value else "double"
             else:
                 out[key] = value
     return out
 
 
+class _ConfigFile:
+    """JSON loading shared by the calibrated config dataclasses."""
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]):
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.kind} config keys: {sorted(unknown)}")
+        return cls(**data)
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass(frozen=True)
-class TesterConfig:
+class TesterConfig(_ConfigFile):
     """Calibrated tester constants; file of record is configs/tester.json."""
 
+    kind = "tester"
     mode: str = "explicit"
     overrides: Mapping[str, object] | None = None
     cut_threshold: float | None = None  # None -> epsilon / 4
@@ -81,48 +103,15 @@ class TesterConfig:
     retries: int = 8
     solver_cap: int = DEFAULT_SOLVER_CAP
 
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "TesterConfig":
-        known = {
-            "mode",
-            "overrides",
-            "cut_threshold",
-            "phase1_probes",
-            "phase2_samples",
-            "retries",
-            "solver_cap",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown tester config keys: {sorted(unknown)}")
-        return TesterConfig(**data)  # type: ignore[arg-type]
-
-    @staticmethod
-    def load(path: str) -> "TesterConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return TesterConfig.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(_ConfigFile):
     """Calibrated estimator constants; file of record is configs/estimator.json."""
 
+    kind = "estimator"
     mode: str = "explicit"
     overrides: Mapping[str, object] | None = None
     solver_cap: int = DEFAULT_SOLVER_CAP
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "EstimatorConfig":
-        known = {"mode", "overrides", "solver_cap"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown estimator config keys: {sorted(unknown)}")
-        return EstimatorConfig(**data)  # type: ignore[arg-type]
-
-    @staticmethod
-    def load(path: str) -> "EstimatorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return EstimatorConfig.from_dict(json.load(fh))
 
 
 def _cut_probe_hits(
@@ -158,12 +147,6 @@ def estimate_cut_fraction(
     if engine is None:
         engine = PartitionOracle(g, ctx, thresholds)
     return _cut_probe_hits(engine, ctx, samples) / samples
-
-
-def _piece_subgraph(
-    g: BoundedDegreeGraph, piece: VertexSet
-) -> tuple[VertexSet, tuple[Edge, ...]]:
-    return piece, induced_edges(g, piece)
 
 
 def _tester_params(
@@ -238,8 +221,7 @@ def run_tester(
     for i in range(piece_samples):
         v = ctx.sample_vertex(g.n, "tester-phase2", i)
         piece = engine.find_partition(v)
-        vertices, edges = _piece_subgraph(g, piece)
-        if not decider(vertices, edges, config.solver_cap):
+        if not decider(piece, induced_edges(g, piece), config.solver_cap):
             detail.update(
                 verdict="reject", reason="phase2", failing_piece=list(piece)
             )
@@ -287,11 +269,14 @@ def run_estimator(
     )
     ctx = SeedContext(master_seed, params)
     engine = PartitionOracle(g, ctx)
+    scores: dict[VertexSet, int] = {}  # every member of a piece shares its score
 
     def term(v: int) -> Fraction:
         piece = engine.find_partition(v)
-        vertices, edges = _piece_subgraph(g, piece)
-        score = scorer(vertices, edges, config.solver_cap)
+        score = scores.get(piece)
+        if score is None:
+            score = scorer(piece, induced_edges(g, piece), config.solver_cap)
+            scores[piece] = score
         return Fraction(score, len(piece))
 
     if samples is None:

@@ -139,17 +139,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_partition(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g, ctx = _oracle_setup(args)
-    engine = PartitionOracle(g, ctx)
-    thresholds = engine.thresholds()
     if args.check:
-        report = differential_check(g, ctx, thresholds)
+        report = differential_check(g, ctx)
         if not report.ok:
+            first = report.first_divergence
+            where = f"phase {first['phase']}" if "phase" in first else f"v={first['v']}"
             print(
                 f"differential gate: {report.divergences} divergence(s); "
-                f"first at v={report.first_divergence['v']}",
+                f"first at {where}",
                 file=sys.stderr,
             )
             return 1
+    engine = PartitionOracle(g, ctx)
     if args.use_global:
         partition = engine.global_partition()
     else:
@@ -166,7 +167,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "mode": args.mode,
         "params": params_to_dict(ctx.params),
-        "thresholds": list(thresholds.k),
+        "thresholds": list(engine.thresholds().k),
         "anchors": list(partition.anchors),
         "cut_report": cut.to_dict(),
     }
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition the whole graph and report the cut")
     common(p)
     p.add_argument("--global", dest="use_global", action="store_true",
-                   help="use the one-shot global procedure instead of per-vertex queries")
+                   help="use the phase-by-phase global procedure instead of per-vertex queries")
     p.add_argument("--check", action="store_true",
                    help="audit local-vs-global agreement first; exit 1 on divergence")
     p.set_defaults(func=cmd_partition)

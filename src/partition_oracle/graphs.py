@@ -168,7 +168,9 @@ def gen_random_tree(n: int, d: int, seed: int) -> BoundedDegreeGraph:
     """Uniform-attachment random tree respecting the degree cap.
 
     Vertex ``v`` attaches to a parent drawn uniformly from the vertices
-    ``0..v-1`` that still have spare degree.  Deterministic in ``seed``.
+    ``0..v-1`` that still have spare degree: the ``rng.randrange(count)``-th
+    of them in ascending order.  A Fenwick tree over the spare-degree
+    indicator finds that vertex in O(log n).  Deterministic in ``seed``.
     """
     if n < 1:
         raise GraphFormatError(f"tree needs n >= 1, got {n}")
@@ -176,13 +178,36 @@ def gen_random_tree(n: int, d: int, seed: int) -> BoundedDegreeGraph:
         raise GraphFormatError(f"tree generator needs d >= 2, got {d}")
     rng = random.Random(seed)
     deg = [0] * n
+    tree = [0] * (n + 1)  # Fenwick tree: 1-based prefix counts of spare vertices
+
+    def add(u: int, delta: int) -> None:
+        i = u + 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    def kth_spare(k: int) -> int:
+        pos, step = 0, 1 << n.bit_length()
+        while step:
+            if pos + step <= n and tree[pos + step] <= k:
+                pos += step
+                k -= tree[pos]
+            step >>= 1
+        return pos
+
+    add(0, 1)
+    spare = 1
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
-        candidates = [u for u in range(v) if deg[u] < d]
-        parent = candidates[rng.randrange(len(candidates))]
+        parent = kth_spare(rng.randrange(spare))
         edges.append((parent, v))
         deg[parent] += 1
-        deg[v] += 1
+        if deg[parent] == d:
+            add(parent, -1)
+            spare -= 1
+        deg[v] = 1
+        add(v, 1)
+        spare += 1
     return BoundedDegreeGraph.from_edges(n, d, edges)
 
 

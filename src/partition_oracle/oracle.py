@@ -10,7 +10,6 @@ public operations are also available as plain functions.
 """
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,8 +229,9 @@ def ensure_desk_scale(params: OracleParams) -> None:
 class PartitionOracle:
     """Shared engine behind both the local query path and the global run.
 
-    Thresholds are computed exactly once per (graph, seed, params) — lazily,
-    under a lock — after which every query is a read-mostly cache lookup.
+    Thresholds are computed once per (graph, seed, params): lazily by the
+    local findr, or phase by phase inside the global pass, whichever runs
+    first.  An engine is not safe to share between threads.
     """
 
     def __init__(
@@ -245,7 +245,6 @@ class PartitionOracle:
         self.params = ctx.params
         self._phi_cmp = exact_number(self.params.phi)
         self._beta = exact_number(self.params.beta)
-        self._lock = threading.Lock()
         self._thresholds = thresholds
         self._ks: list[int] | None = list(thresholds.k) if thresholds else None
         self._masks: dict[int, list[int]] = {}
@@ -307,10 +306,9 @@ class PartitionOracle:
     # -- thresholds (findr) -------------------------------------------------
 
     def thresholds(self) -> PhaseThresholds:
+        """Per-phase size thresholds, from the local findr if not yet known."""
         if self._thresholds is None:
-            with self._lock:
-                if self._thresholds is None:
-                    self._thresholds = self._compute_thresholds()
+            self._thresholds = self._compute_thresholds()
         return self._thresholds
 
     def _k_of(self, h: int) -> int:
@@ -340,7 +338,7 @@ class PartitionOracle:
         free_members = sum(1 for u in c if free_test(u))
         return Fraction(free_members) >= self._beta ** 3 * k
 
-    def _compute_thresholds(self) -> PhaseThresholds:
+    def _check_findr_scale(self) -> None:
         params = self.params
         ensure_desk_scale(params)
         if params.h_bar > MAX_FINDR_PHASES:
@@ -361,23 +359,34 @@ class PartitionOracle:
             raise OracleConfigError(
                 f"{n_candidates} size-threshold candidates is beyond desk scale"
             )
+
+    def _choose_threshold(self, h: int, free_test: Callable[[int], bool]) -> int:
+        """findr's choice of k_h, given which vertices are free at phase ``h``.
+
+        0 when too few sampled seeds reach phase ``h`` (the gate) or no
+        candidate makes enough kept seeds viable (the quota); otherwise the
+        candidate with the most viable seeds, larger k breaking ties.
+        """
+        params = self.params
+        s_h = [v for v in self.phase_sample(h) if self.ctx.phase_of(v) >= h]
+        if Fraction(len(s_h)) <= self._beta * params.sample_count / 2:
+            return 0
+        kept = s_h[: params.keep_count]
+        quota = 12 * self._beta ** 4 * len(kept)
+        best: tuple[int, int] | None = None
+        for k in params.k_candidates:
+            count = sum(1 for s in kept if self.viable(s, h, k, free_test))
+            if Fraction(count) >= quota and (best is None or (count, k) > best):
+                best = (count, k)
+        return best[1] if best is not None else 0
+
+    def _compute_thresholds(self) -> PhaseThresholds:
+        """The local findr: each free test is an incoming-ball search."""
+        self._check_findr_scale()
         ks: list[int] = []
         self._ks = ks
-        gate = self._beta * params.sample_count / 2
-        for h in range(1, params.h_bar):
-            s_h = [v for v in self.phase_sample(h) if self.ctx.phase_of(v) >= h]
-            if Fraction(len(s_h)) <= gate:
-                ks.append(0)
-                continue
-            kept = s_h[: params.keep_count]
-            quota = 12 * self._beta ** 4 * len(kept)
-            free_test = lambda u, _h=h: self.is_free(u, _h)
-            best: tuple[int, int] | None = None
-            for k in params.k_candidates:
-                count = sum(1 for s in kept if self.viable(s, h, k, free_test))
-                if Fraction(count) >= quota and (best is None or (count, k) > best):
-                    best = (count, k)
-            ks.append(best[1] if best is not None else 0)
+        for h in range(1, self.params.h_bar):
+            ks.append(self._choose_threshold(h, lambda u, _h=h: self.is_free(u, _h)))
         ks.append(0)
         return PhaseThresholds(tuple(ks))
 
@@ -419,7 +428,7 @@ class PartitionOracle:
         if self._ks is None or len(self._ks) < h - 1:
             # Seeds of phases 1..h-1 need their size thresholds.  During the
             # threshold computation itself the first h-1 entries are already
-            # in place, so this never re-enters the findr lock.
+            # in place, so this never re-enters findr.
             self.thresholds()
         checked, captured = self._capture.get(u, (1, None))
         if captured is not None and captured < h:
@@ -474,35 +483,37 @@ class PartitionOracle:
         return self._run_global(free_sets), free_sets
 
     def _run_global(self, free_sets: dict[int, frozenset] | None) -> Partition:
-        self.thresholds()
-        g = self.g
-        n = g.n
-        order = sorted(range(n), key=self.ctx.order_key)
+        """The global procedure, phase by phase over a plain free array.
+
+        Without given thresholds this is also the global findr: each k_h is
+        chosen at the start of phase h, when ``free`` holds exactly the
+        vertices that no earlier phase's seed captured.
+        """
+        n = self.g.n
+        h_bar = self.params.h_bar
+        search = self._thresholds is None
+        if search:
+            self._check_findr_scale()
+            self._ks = []
+        seeds_of: list[list[int]] = [[] for _ in range(h_bar + 1)]
+        for v in range(n):
+            seeds_of[self.ctx.phase_of(v)].append(v)
         free = [True] * n
         anchors = [-1] * n
-        phase_cursor = 1
-
-        def snapshot_through(h: int) -> None:
-            nonlocal phase_cursor
+        for h in range(1, h_bar + 1):
             if free_sets is not None:
-                while phase_cursor <= h:
-                    free_sets[phase_cursor] = frozenset(
-                        u for u in range(n) if free[u]
-                    )
-                    phase_cursor += 1
-
-        for v in order:
-            snapshot_through(self.ctx.phase_of(v))
-            c = self.seed_cluster(v)
-            newly = [u for u in c if free[u]]
-            if not newly:
-                continue
-            for comp in connected_components(g, newly):
-                for u in comp:
-                    anchors[u] = v
-            for u in newly:
-                free[u] = False
-        snapshot_through(self.params.h_bar)
+                free_sets[h] = frozenset(u for u in range(n) if free[u])
+            if search:
+                self._ks.append(
+                    self._choose_threshold(h, free.__getitem__) if h < h_bar else 0
+                )
+            for v in seeds_of[h]:
+                for u in self.seed_cluster(v):
+                    if free[u]:
+                        anchors[u] = v
+                        free[u] = False
+        if search:
+            self._thresholds = PhaseThresholds(tuple(self._ks))
         return Partition(anchors=tuple(anchors))
 
 
@@ -510,27 +521,8 @@ class PartitionOracle:
 
 
 def find_ib(g: BoundedDegreeGraph, params: OracleParams, v: int) -> VertexSet:
-    """Standalone incoming-ball computation (no seeds involved)."""
-    ensure_desk_scale(params)
-    memo: dict[int, list[int]] = {}
-
-    def masks_for(w: int) -> list[int]:
-        masks = memo.get(w)
-        if masks is None:
-            exact = params.exact
-            p: MassVector = {w: Fraction(1) if exact else 1.0}
-            masks = [1 << w]
-            for _ in range(params.ell):
-                if p:
-                    p = truncate(lazy_step(g, p, exact=exact), params.rho, exact=exact)
-                mask = 0
-                for u in p:
-                    mask |= 1 << u
-                masks.append(mask)
-            memo[w] = masks
-        return masks
-
-    return _frontier_ib(g, params.ell, v, masks_for)
+    """Standalone incoming-ball computation; the ball ignores the seed."""
+    return PartitionOracle(g, SeedContext(0, params)).find_ib(v)
 
 
 def findr(g: BoundedDegreeGraph, ctx: SeedContext) -> PhaseThresholds:

@@ -168,9 +168,11 @@ def derive_params(
     ``overrides`` on top, and downstream defaults follow overridden inputs
     (an overridden ``delta`` feeds the default ``h_bar``, an overridden
     ``rho`` feeds the default ``k_candidates``, an overridden ``beta`` feeds
-    the default sample sizes).  Formula mode forbids overrides.
+    the default sample sizes).  Formula mode forbids overrides other than
+    ``arithmetic``, which takes precedence over the argument of that name.
     """
     overrides = dict(overrides or {})
+    arithmetic = overrides.pop("arithmetic", arithmetic)
     if mode == PAPER_MODE and overrides:
         raise ParamError("formula mode computes every field; overrides not allowed")
     unknown = set(overrides) - set(_FIELD_ORDER)

@@ -48,13 +48,20 @@ def geometric_from_uniform(u: float, delta, h_bar: int) -> int:
     return min(max(1, x), h_bar)
 
 
+def check_master_seed(seed: int) -> int:
+    """``seed`` itself; seeds outside [0, 2**64) would alias others, so raise."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class SeedContext:
     """Master seed plus parameters; hands out all per-vertex randomness."""
 
     def __init__(self, master_seed: int, params: OracleParams):
-        self.master_seed = master_seed
+        self.master_seed = check_master_seed(master_seed)
         self.params = params
-        self._key = (master_seed & _MASK64).to_bytes(8, "little")
+        self._key = master_seed.to_bytes(8, "little")
         self._phase_memo: dict[int, int] = {}
         self._walk_memo: dict[int, int] = {}
 

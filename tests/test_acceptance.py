@@ -85,24 +85,27 @@ def corpus():
 
 def test_criterion_01_local_queries_equal_global_partition():
     """Every piece query agrees with the reference global partition on a
-    26-graph corpus (n = 1..200) under the pinned explicit bundle."""
+    26-graph corpus (n = 1..200) under the pinned explicit bundle.  The
+    local side runs on a fresh engine, so its thresholds come from the local
+    findr and must equal the ones the global pass chose."""
     started = time.perf_counter()
     pairs = corpus()
     assert len(pairs) >= 25
     assert min(g.n for _, g, _ in pairs) == 1
     assert max(g.n for _, g, _ in pairs) == 200
     for name, g, seed in pairs:
-        ctx = SeedContext(seed, desk_params(g.d))
-        engine = PartitionOracle(g, ctx)
-        reference = engine.global_partition()
+        local = PartitionOracle(g, SeedContext(seed, desk_params(g.d)))
+        global_engine = PartitionOracle(g, SeedContext(seed, desk_params(g.d)))
+        reference = global_engine.global_partition()
         for v in range(g.n):
-            assert engine.find_partition(v) == reference.piece_containing(g, v), (
+            assert local.find_partition(v) == reference.piece_containing(g, v), (
                 name, seed, v,
             )
+        assert local.thresholds() == global_engine.thresholds(), (name, seed)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"criterion 01 PASS — {len(pairs)} graph/seed pairs, "
-          f"local == global everywhere, {elapsed:.1f}s")
+          f"local == global pieces and thresholds everywhere, {elapsed:.1f}s")
 
 
 def test_criterion_02_incoming_ball_matches_brute_force():

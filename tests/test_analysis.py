@@ -8,13 +8,13 @@ import pytest
 from partition_oracle import (
     Partition,
     PartitionOracle,
+    PhaseThresholds,
     differential_check,
     good_seed_census,
     leaky_census,
     measure_cut,
     viability_census,
 )
-from partition_oracle.analysis import worker_count
 
 from conftest import bridge_graph, cycle_graph, desk_context, desk_params, path_graph
 
@@ -164,17 +164,19 @@ def test_differential_check_catches_an_injected_fault(bridge):
     assert first["global"] != first["local"]
 
 
-def test_differential_check_with_thread_pool(bridge, monkeypatch):
-    monkeypatch.setenv("PO_THREADS", "4")
-    assert worker_count() == 4
+def test_differential_check_reports_a_threshold_mismatch(bridge, monkeypatch):
+    """A local findr that disagrees with the global one is a divergence
+    of its own, reported at the first phase that differs."""
+    reference = PartitionOracle(bridge, desk_context(bridge))
+    reference.global_partition()
+    assert reference.thresholds().k[0] == 3
+
+    def zero_findr(self):
+        self._ks = [0] * self.params.h_bar
+        return PhaseThresholds(tuple(self._ks))
+
+    monkeypatch.setattr(PartitionOracle, "_compute_thresholds", zero_findr)
     report = differential_check(bridge, desk_context(bridge))
-    assert report.ok
-
-
-def test_worker_count_defaults_to_sequential(monkeypatch):
-    monkeypatch.delenv("PO_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("PO_THREADS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.setenv("PO_THREADS", "0")
-    assert worker_count() == 1
+    assert not report.ok
+    assert report.first_divergence == {"phase": 1, "local": 0, "global": 3}
+    assert report.divergences > 1  # the zero thresholds also split pieces

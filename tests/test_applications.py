@@ -51,6 +51,20 @@ def test_trial_seed_substreams_are_distinct_and_stable():
     assert trial_seed(8, 0) != trial_seed(7, 0)
 
 
+def test_trial_seed_rejects_master_seeds_outside_64_bits():
+    assert trial_seed(2 ** 64 - 1, 0) != trial_seed(0, 0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="master seed"):
+            trial_seed(seed, 0)
+
+
+def test_oracle_overrides_maps_exact_to_the_arithmetic_mode():
+    assert oracle_overrides({"exact": 1}) == {"arithmetic": "exact"}
+    assert oracle_overrides({"exact": 0.0}) == {"arithmetic": "double"}
+    with pytest.raises(ValueError, match="exact"):
+        oracle_overrides({"exact": "yes"})
+
+
 def test_oracle_overrides_expands_k_max():
     out = oracle_overrides({"k_max": 5, "ell": 7})
     assert out == {"k_candidates": range(1, 6), "ell": 7}
@@ -185,6 +199,20 @@ def test_full_enumeration_telescopes_to_the_piece_sum(bridge):
     assert out["estimate"] == 4.0
     assert out["stderr_proxy"] == 0.0
     assert out["samples"] is None
+
+
+def test_estimator_scores_each_distinct_piece_once(bridge):
+    pieces = []
+
+    def matching(vertices, edges, cap):
+        pieces.append(tuple(vertices))
+        return SCORERS["matching"](vertices, edges, cap)
+
+    out = run_estimator(
+        bridge, 0.1, matching, samples=None, config=bridge_estimator_config()
+    )
+    assert out["estimate"] == 4.0
+    assert sorted(pieces) == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
 def test_sampled_estimate_matches_on_homogeneous_pieces(bridge):

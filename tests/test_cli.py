@@ -111,6 +111,23 @@ def test_partition_check_gate_passes(bridge_file, tmp_path):
     assert payload["cut_report"]["cut_edges"] >= 1
 
 
+def test_partition_exact_arithmetic_matches_double(bridge_file, tmp_path):
+    argv = ["partition", "--graph", bridge_file, "--seed", "0"] + set_args()
+    rc, exact, _ = run_json(argv + ["--set", "exact=1"], tmp_path, "exact.json")
+    assert rc == 0
+    assert exact["params"]["arithmetic"] == "exact"
+    _, double, _ = run_json(argv + ["--set", "exact=0"], tmp_path, "double.json")
+    assert double["params"]["arithmetic"] == "double"
+    assert exact["anchors"] == double["anchors"]
+    assert exact["thresholds"] == double["thresholds"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_out_of_range_seed_exits_one(bridge_file, seed, capsys):
+    assert main(["query", "--graph", bridge_file, "--seed", seed, "0"] + set_args()) == 1
+    assert "master seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
 def test_partition_paper_mode_is_rejected_at_desk_scale(bridge_file, capsys):
     assert main(["partition", "--graph", bridge_file, "--mode", "paper"]) == 1
     assert "beyond desk scale" in capsys.readouterr().err

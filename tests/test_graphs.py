@@ -1,6 +1,8 @@
 """Graph construction, file round-trips, and generators."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from partition_oracle import (
@@ -115,6 +117,28 @@ def test_gen_random_tree_deterministic_in_seed():
     c = gen_random_tree(40, 3, 12)
     assert a.adjacency == b.adjacency
     assert a.adjacency != c.adjacency
+
+
+def quadratic_random_tree_edges(n, d, seed):
+    """gen_random_tree's definition: rescan every earlier vertex per step."""
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        candidates = [u for u in range(v) if deg[u] < d]
+        parent = candidates[rng.randrange(len(candidates))]
+        edges.append((parent, v))
+        deg[parent] += 1
+        deg[v] += 1
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_gen_random_tree_matches_the_quadratic_definition(d):
+    for n in (1, 2, 3, 5, 17, 64, 257, 600):
+        for seed in range(3):
+            got = gen_random_tree(n, d, seed).edges()
+            assert got == quadratic_random_tree_edges(n, d, seed), (n, d, seed)
 
 
 def test_save_load_round_trip(tmp_path):

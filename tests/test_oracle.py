@@ -249,12 +249,13 @@ def test_find_anchor_returns_the_minimal_capturing_seed(bridge):
 
 def test_local_queries_agree_with_the_global_partition(bridge):
     for seed in (0, 1, 2, 42):
-        ctx = desk_context(bridge, seed)
-        engine = PartitionOracle(bridge, ctx)
-        reference = engine.global_partition()
+        local = PartitionOracle(bridge, desk_context(bridge, seed))
+        global_engine = PartitionOracle(bridge, desk_context(bridge, seed))
+        reference = global_engine.global_partition()
         for v in range(bridge.n):
-            assert engine.find_partition(v) == reference.piece_containing(bridge, v)
-            assert engine.find_anchor(v) == reference.anchors[v]
+            assert local.find_partition(v) == reference.piece_containing(bridge, v)
+            assert local.find_anchor(v) == reference.anchors[v]
+        assert local.thresholds() == global_engine.thresholds()
 
 
 def test_bridge_partition_with_desk_seed_is_pinned(bridge):

@@ -22,6 +22,16 @@ def test_same_seed_same_stream():
     assert [a.walk_len_of(v) for v in range(50)] == [b.walk_len_of(v) for v in range(50)]
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 42])
+def test_seeds_outside_64_bits_are_rejected_not_aliased(seed):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        make_ctx(seed)
+
+
+def test_both_ends_of_the_seed_range_are_accepted():
+    assert make_ctx(0).u64("x") != make_ctx(2 ** 64 - 1).u64("x")
+
+
 def test_different_seeds_and_tags_decorrelate():
     a, b = make_ctx(7), make_ctx(8)
     assert [a.u64("x", i) for i in range(20)] != [b.u64("x", i) for i in range(20)]
