@@ -124,35 +124,16 @@ def viability_census(
             raise OracleConfigError(
                 f"{span} size-threshold candidates is beyond desk scale"
             )
-    beta = exact_number(params.beta)
-    free = frozenset(F)
-    free_test = free.__contains__
-
-    sample = engine.phase_sample(h)
-    retained = [v for v in sample if ctx.phase_of(v) >= h]
-    gate = beta * params.sample_count / 2
-    gated = Fraction(len(retained)) <= gate
-    kept = retained[: params.keep_count]
-    quota = 12 * beta ** 4 * len(kept)
-
-    rows: list[dict] = []
-    best: tuple[int, int] | None = None
-    for k in k_range:
-        count = sum(1 for s in kept if engine.viable(s, h, k, free_test))
-        meets = Fraction(count) >= quota
-        rows.append({"h": h, "k": k, "viable": count, "meets_quota": meets})
-        if meets and (best is None or (count, k) > best):
-            best = (count, k)
-    chosen = 0 if gated else (best[1] if best is not None else 0)
-    summary = {
-        "h": h,
-        "samples": len(sample),
-        "retained": len(retained),
-        "kept": len(kept),
-        "gated": gated,
-        "quota": float(quota),
-        "chosen_k": chosen,
-    }
+    ks = tuple(k_range)
+    summary, counts = engine.threshold_search(
+        h, frozenset(F).__contains__, ks, count_when_gated=True
+    )
+    quota = summary["quota"]
+    rows = [
+        {"h": h, "k": k, "viable": count, "meets_quota": count >= quota}
+        for k, count in zip(ks, counts)
+    ]
+    summary["quota"] = float(quota)
     return CensusReport(kind="viability", rows=tuple(rows), summary=summary)
 
 
@@ -271,8 +252,9 @@ def differential_check(
                 divergences += 1
                 if first is None:
                     first = {"phase": h, "local": k_local, "global": k_global}
+    piece_of = {u: tuple(piece) for piece in reference.pieces(g) for u in piece}
     for v in range(g.n):
-        expected = reference.piece_containing(g, v)
+        expected = piece_of[v]
         got = tuple(local_fn(v))
         if got != expected:
             divergences += 1

@@ -4,16 +4,18 @@ The same fixed randomness — per-vertex phases and walk lengths derived from
 one master seed — drives both the one-shot global partitioning procedure and
 the per-vertex local query path, and the two are exactly equivalent: a local
 query returns precisely the piece the global procedure would assign.  The
-:class:`PartitionOracle` engine memoizes diffusion trajectories, sweep scans,
-per-seed clusters, and anchors, so batches of local queries share work; all
-public operations are also available as plain functions.
+:class:`PartitionOracle` engine keeps one resumable diffusion walk per
+source, with the first step at which the walk reaches each vertex, and
+memoizes sweep scans, per-seed clusters, and anchors, so batches of local
+queries share work.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .diffusion import (
     MassVector,
@@ -78,19 +80,6 @@ class Partition:
         out.sort(key=lambda piece: piece[0])
         return out
 
-    def piece_containing(self, g: BoundedDegreeGraph, v: int) -> VertexSet:
-        """The piece of ``v``: its same-anchor connected component."""
-        a = self.anchors[v]
-        piece = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w not in piece and self.anchors[w] == a:
-                    piece.add(w)
-                    stack.append(w)
-        return tuple(sorted(piece))
-
 
 class SweepScan:
     """Prefix sweep of one diffusion vector, for level-set cluster queries.
@@ -132,29 +121,41 @@ class SweepScan:
         chosen = self.order[:kp] if v_in_prefix else self.order[:kp] + [self.v]
         return tuple(sorted(chosen))
 
+    def picks(self, phi: Fraction, ks: Sequence[int]) -> list[tuple[int, bool] | None]:
+        """For each k, the first acceptable ``L(k') ∪ {v}`` scanning k' down from 2k.
 
-def _scan_cluster(
-    g: BoundedDegreeGraph, phi_cmp: Fraction, scan: SweepScan, k: int
-) -> VertexSet | None:
-    """First acceptable ``L(k') ∪ {v}`` scanning k' downward from 2k.
+        Accepts when the size lands in [k, 2k], the set stays inside the
+        support, and its conductance is at most phi (the full vertex set has
+        none).  A pick is ``(k', v already in the prefix)``, or None when
+        nothing qualifies.  Each k' is tested once, whatever the k.
+        """
+        picks: list[tuple[int, bool] | None] = [None] * len(ks)
+        positive = [k for k in ks if k > 0]
+        if not positive or not self.in_support:
+            return picks
+        n, d = self.g.n, self.g.d
+        top = min(2 * max(positive), self.support_size)
+        last = [0] * (top + 1)  # the largest acceptable k'' <= k', or 0
+        inside = [False] * (top + 1)
+        for kp in range(min(positive), top + 1):
+            size, cut, inside[kp] = self.candidate(kp)
+            denom = 2 * min(size, n - size) * d
+            ok = size < n and cut * phi.denominator <= phi.numerator * denom
+            last[kp] = kp if ok else last[kp - 1]
+        for i, k in enumerate(ks):
+            if not 0 < k <= top:
+                continue
+            kp = last[min(2 * k, top)]
+            if kp == 2 * k and not inside[kp]:  # size 2k + 1 is over the cap
+                kp = last[kp - 1]
+            if kp >= k:
+                picks[i] = (kp, inside[kp])
+        return picks
 
-    Accepts when the size lands in [k, 2k], the set stays inside the
-    support, and its conductance is at most phi.  Returns None when nothing
-    qualifies (the caller then falls back to the singleton).  The full vertex
-    set has undefined conductance and is never accepted.
-    """
-    if k <= 0 or not scan.in_support:
-        return None
-    n = g.n
-    for kp in range(min(2 * k, scan.support_size), k - 1, -1):
-        size, cut, v_inside = scan.candidate(kp)
-        if not k <= size <= 2 * k:
-            continue
-        if size >= n:
-            continue
-        if Fraction(cut, 2 * min(size, n - size) * g.d) <= phi_cmp:
-            return scan.members(kp, v_inside)
-    return None
+    def cluster(self, phi: Fraction, k: int) -> VertexSet:
+        """The accepted cluster for ``k``, or the singleton ``{v}``."""
+        pick = self.picks(phi, (k,))[0]
+        return self.members(*pick) if pick is not None else (self.v,)
 
 
 def cluster(
@@ -172,48 +173,41 @@ def cluster(
     if k == 0:
         return (v,)
     vec = truncated_diffusion(g, v, t, params.rho, exact=params.exact)
-    scan = SweepScan(g, vec, v)
-    found = _scan_cluster(g, exact_number(params.phi), scan, k)
-    return found if found is not None else (v,)
+    return SweepScan(g, vec, v).cluster(exact_number(params.phi), k)
 
 
 def _frontier_ib(
     g: BoundedDegreeGraph,
     ell: int,
     v: int,
-    masks_for: Callable[[int], list[int]],
+    first_hits_of: Callable[[int], dict[int, int]],
 ) -> VertexSet:
     """Grow the incoming ball of ``v`` by frontier expansion.
 
     Round ``t`` admits any pool vertex ``w`` (pool = members plus their
-    neighbors) whose truncated diffusion has put mass on ``v`` by step ``t``.
+    neighbors, fixed when the round starts) whose truncated diffusion first
+    puts mass on ``v`` at some step ``fh <= t``.  Only the members admitted
+    in the last round bring new vertices into the pool; a pooled vertex
+    with ``fh > t`` waits for round ``fh``.
     """
     member = {v}
-    first_hit: dict[int, int] = {}
-    bit = 1 << v
-
-    def hit_by(w: int, t: int) -> bool:
-        fh = first_hit.get(w)
-        if fh is None:
-            fh = -1
-            for tp, mask in enumerate(masks_for(w)):
-                if mask & bit:
-                    fh = tp
-                    break
-            first_hit[w] = fh
-        return 0 <= fh <= t
-
+    seen = {v}
+    waiting: dict[int, int] = {}
+    admitted = [v]
     for t in range(1, ell + 1):
-        pool: set[int] = set()
-        for u in member:
-            pool.update(g.adjacency[u])
-        pool -= member
-        added = False
-        for w in sorted(pool):
-            if hit_by(w, t):
-                member.add(w)
-                added = True
-        if not added and all(fh <= t for fh in first_hit.values()):
+        fresh = {w for u in admitted for w in g.adjacency[u]} - seen
+        seen |= fresh
+        admitted = [w for w, fh in waiting.items() if fh <= t]
+        for w in admitted:
+            del waiting[w]
+        for w in fresh:
+            fh = first_hits_of(w).get(v, -1)
+            if 0 <= fh <= t:
+                admitted.append(w)
+            elif fh > t:
+                waiting[w] = fh
+        member.update(admitted)
+        if not admitted and not waiting:
             break
     return tuple(sorted(member))
 
@@ -243,11 +237,12 @@ class PartitionOracle:
         self.g = g
         self.ctx = ctx
         self.params = ctx.params
-        self._phi_cmp = exact_number(self.params.phi)
+        self._phi = exact_number(self.params.phi)
         self._beta = exact_number(self.params.beta)
         self._thresholds = thresholds
         self._ks: list[int] | None = list(thresholds.k) if thresholds else None
-        self._masks: dict[int, list[int]] = {}
+        # One resumable walk per source: [step, vector at step, first hits].
+        self._walks: dict[int, list] = {}
         self._vecs: dict[tuple[int, int], MassVector] = {}
         self._scans: dict[tuple[int, int], SweepScan] = {}
         self._seed_cluster: dict[int, VertexSet] = {}
@@ -258,34 +253,55 @@ class PartitionOracle:
 
     # -- diffusion caches ---------------------------------------------------
 
-    def trajectory_masks(self, w: int) -> list[int]:
-        """Support bitmasks of the truncated diffusion from ``w``, t=0..ell."""
-        masks = self._masks.get(w)
-        if masks is None:
-            ensure_desk_scale(self.params)
-            exact = self.params.exact
-            rho = self.params.rho
-            t_w = self.ctx.walk_len_of(w)
-            p: MassVector = {w: Fraction(1) if exact else 1.0}
-            masks = [1 << w]
-            for t in range(1, self.params.ell + 1):
+    def _walk_to(self, s: int, t: int) -> list:
+        """Advance the truncated diffusion from ``s`` to step ``t``.
+
+        Each vertex's first step in the support is recorded as the walk
+        passes it, and the vector at ``t_s`` is kept for ``vec_at``.
+        """
+        walk = self._walks.get(s)
+        if walk is None:
+            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s: 0}]
+            self._walks[s] = walk
+        step, p, first_hit = walk
+        if step < t:
+            exact, rho = self.params.exact, self.params.rho
+            t_s = self.ctx.walk_len_of(s)
+            while step < t:
+                step += 1
                 if p:
                     p = truncate(lazy_step(self.g, p, exact=exact), rho, exact=exact)
-                mask = 0
-                for u in p:
-                    mask |= 1 << u
-                masks.append(mask)
-                if t == t_w:
-                    self._vecs.setdefault((w, t_w), p)
-            self._masks[w] = masks
-        return masks
+                    for u in p:
+                        first_hit.setdefault(u, step)
+                if step == t_s:
+                    self._vecs[(s, t_s)] = p
+            # A finished walk needs only its first hits.
+            walk[0], walk[1] = step, p if step < self.params.ell else None
+        return walk
+
+    def trajectory_masks(self, w: int) -> dict[int, int]:
+        """First-hit steps of the truncated diffusion from ``w``, t=0..ell.
+
+        Maps each vertex the walk ever reaches to the first step at which
+        it is in the support.  (The name predates first-hit times and is
+        kept: ``bench/tracing.py`` wraps it.)
+        """
+        walk = self._walks.get(w)
+        if walk is None or walk[0] < self.params.ell:
+            ensure_desk_scale(self.params)
+            walk = self._walk_to(w, self.params.ell)
+        return walk[2]
 
     def vec_at(self, s: int, t: int) -> MassVector:
         key = (s, t)
         vec = self._vecs.get(key)
         if vec is None:
-            vec = truncated_diffusion(self.g, s, t, self.params.rho, exact=self.params.exact)
-            self._vecs[key] = vec
+            if t == self.ctx.walk_len_of(s):
+                self._walk_to(s, t)
+                vec = self._vecs[key]
+            else:
+                vec = truncated_diffusion(self.g, s, t, self.params.rho, exact=self.params.exact)
+                self._vecs[key] = vec
         return vec
 
     def _scan_at(self, s: int, t: int) -> SweepScan:
@@ -298,10 +314,7 @@ class PartitionOracle:
 
     def cluster_at(self, s: int, t: int, k: int) -> VertexSet:
         """cluster(s, t, k) backed by the per-(s, t) sweep cache."""
-        if k <= 0:
-            return (s,)
-        found = _scan_cluster(self.g, self._phi_cmp, self._scan_at(s, t), k)
-        return found if found is not None else (s,)
+        return self._scan_at(s, t).cluster(self._phi, k) if k > 0 else (s,)
 
     # -- thresholds (findr) -------------------------------------------------
 
@@ -330,7 +343,8 @@ class PartitionOracle:
         """findr's viability predicate for seed ``s`` at phase ``h``.
 
         The candidate cluster must be non-singleton and contain at least
-        beta^3 * k vertices passing ``free_test``.
+        beta^3 * k vertices passing ``free_test``.  This is the definition;
+        findr evaluates it for every k at once with ``viable_flags``.
         """
         c = self.cluster_at(s, self.ctx.walk_len_of(s), k)
         if len(c) <= 1:
@@ -360,25 +374,97 @@ class PartitionOracle:
                 f"{n_candidates} size-threshold candidates is beyond desk scale"
             )
 
-    def _choose_threshold(self, h: int, free_test: Callable[[int], bool]) -> int:
-        """findr's choice of k_h, given which vertices are free at phase ``h``.
+    def viable_flags(
+        self, s: int, ks: Sequence[int], free_test: Callable[[int], bool]
+    ) -> list[bool]:
+        """``viable(s, h, k, free_test)`` for every k in ``ks``, from one scan.
 
-        0 when too few sampled seeds reach phase ``h`` (the gate) or no
-        candidate makes enough kept seeds viable (the quota); otherwise the
-        candidate with the most viable seeds, larger k breaking ties.
+        Every candidate cluster of ``s`` is a prefix of the ranked order of
+        one sweep scan, plus ``s``; so one prefix count of free members, up
+        to the longest accepted prefix, serves every k, and ``free_test``
+        sees each vertex at most once.
+        """
+        scan = self._scan_at(s, self.ctx.walk_len_of(s))
+        # The singleton {s} is never viable, so its pick asks nothing.
+        picks = [
+            pick if pick is not None and (pick[0] > 1 or not pick[1]) else None
+            for pick in scan.picks(self._phi, ks)
+        ]
+        longest = max((pick[0] for pick in picks if pick is not None), default=0)
+        free_before = [0]
+        s_free: bool | None = None
+        for u in scan.order[:longest]:
+            free = free_test(u)
+            if u == s:
+                s_free = free
+            free_before.append(free_before[-1] + free)
+        b3 = self._beta ** 3
+        flags = []
+        for k, pick in zip(ks, picks):
+            if pick is None:
+                flags.append(False)
+                continue
+            kp, s_inside = pick
+            free_members = free_before[kp]
+            if not s_inside:
+                if s_free is None:
+                    s_free = free_test(s)
+                free_members += s_free
+            flags.append(free_members * b3.denominator >= b3.numerator * k)
+        return flags
+
+    def viable_counts(
+        self, kept: list[int], ks: Sequence[int], free_test: Callable[[int], bool]
+    ) -> list[int]:
+        """How many of the ``kept`` seeds are viable for each k in ``ks``."""
+        counts = [0] * len(ks)
+        for s, times in Counter(kept).items():
+            for i, ok in enumerate(self.viable_flags(s, ks, free_test)):
+                counts[i] += ok * times
+        return counts
+
+    def threshold_search(
+        self,
+        h: int,
+        free_test: Callable[[int], bool],
+        ks: Sequence[int],
+        count_when_gated: bool = False,
+    ) -> tuple[dict, list[int]]:
+        """findr's search for k_h, given which vertices are free at phase ``h``.
+
+        Returns a summary and the viable count of each candidate in ``ks``.
+        The choice (``chosen_k``) is 0 when too few sampled seeds reach
+        phase ``h`` (the gate) or no candidate makes enough kept seeds
+        viable (the quota); otherwise it is the candidate with the most
+        viable seeds, larger k breaking ties.  A closed gate skips the
+        counting unless ``count_when_gated``.
         """
         params = self.params
-        s_h = [v for v in self.phase_sample(h) if self.ctx.phase_of(v) >= h]
-        if Fraction(len(s_h)) <= self._beta * params.sample_count / 2:
-            return 0
-        kept = s_h[: params.keep_count]
+        sample = self.phase_sample(h)
+        retained = [v for v in sample if self.ctx.phase_of(v) >= h]
+        gated = Fraction(len(retained)) <= self._beta * params.sample_count / 2
+        kept = retained[: params.keep_count]
         quota = 12 * self._beta ** 4 * len(kept)
-        best: tuple[int, int] | None = None
-        for k in params.k_candidates:
-            count = sum(1 for s in kept if self.viable(s, h, k, free_test))
-            if Fraction(count) >= quota and (best is None or (count, k) > best):
-                best = (count, k)
-        return best[1] if best is not None else 0
+        counts = (
+            self.viable_counts(kept, ks, free_test)
+            if count_when_gated or not gated
+            else []
+        )
+        best = max(((c, k) for k, c in zip(ks, counts) if c >= quota), default=None)
+        summary = {
+            "h": h,
+            "samples": len(sample),
+            "retained": len(retained),
+            "kept": len(kept),
+            "gated": gated,
+            "quota": quota,
+            "chosen_k": 0 if gated or best is None else best[1],
+        }
+        return summary, counts
+
+    def _choose_threshold(self, h: int, free_test: Callable[[int], bool]) -> int:
+        summary, _ = self.threshold_search(h, free_test, self.params.k_candidates)
+        return summary["chosen_k"]
 
     def _compute_thresholds(self) -> PhaseThresholds:
         """The local findr: each free test is an incoming-ball search."""
@@ -517,58 +603,6 @@ class PartitionOracle:
         return Partition(anchors=tuple(anchors))
 
 
-# -- functional wrappers ----------------------------------------------------
-
-
 def find_ib(g: BoundedDegreeGraph, params: OracleParams, v: int) -> VertexSet:
     """Standalone incoming-ball computation; the ball ignores the seed."""
     return PartitionOracle(g, SeedContext(0, params)).find_ib(v)
-
-
-def findr(g: BoundedDegreeGraph, ctx: SeedContext) -> PhaseThresholds:
-    return PartitionOracle(g, ctx).thresholds()
-
-
-def is_free(
-    g: BoundedDegreeGraph,
-    ctx: SeedContext,
-    thresholds: PhaseThresholds,
-    u: int,
-    h: int,
-    engine: PartitionOracle | None = None,
-) -> bool:
-    if engine is None:
-        engine = PartitionOracle(g, ctx, thresholds)
-    return engine.is_free(u, h)
-
-
-def find_anchor(
-    g: BoundedDegreeGraph,
-    ctx: SeedContext,
-    thresholds: PhaseThresholds,
-    v: int,
-    engine: PartitionOracle | None = None,
-) -> int:
-    if engine is None:
-        engine = PartitionOracle(g, ctx, thresholds)
-    return engine.find_anchor(v)
-
-
-def find_partition(
-    g: BoundedDegreeGraph,
-    ctx: SeedContext,
-    thresholds: PhaseThresholds,
-    v: int,
-    engine: PartitionOracle | None = None,
-) -> VertexSet:
-    if engine is None:
-        engine = PartitionOracle(g, ctx, thresholds)
-    return engine.find_partition(v)
-
-
-def global_partition(
-    g: BoundedDegreeGraph,
-    ctx: SeedContext,
-    thresholds: PhaseThresholds | None = None,
-) -> Partition:
-    return PartitionOracle(g, ctx, thresholds).global_partition()

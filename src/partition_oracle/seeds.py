@@ -128,14 +128,3 @@ class SeedContext:
     def order_key(self, v: int) -> tuple[int, int]:
         return (self.phase_of(v), v)
 
-
-def phase_of(ctx: SeedContext, v: int) -> int:
-    return ctx.phase_of(v)
-
-
-def walk_len_of(ctx: SeedContext, v: int) -> int:
-    return ctx.walk_len_of(v)
-
-
-def precedes(ctx: SeedContext, u: int, v: int) -> bool:
-    return ctx.precedes(u, v)

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from partition_oracle import BoundedDegreeGraph, SeedContext, derive_params
+from partition_oracle import (
+    BoundedDegreeGraph,
+    Partition,
+    SeedContext,
+    derive_params,
+    truncated_diffusion,
+)
 
 TESTS_DIR = Path(__file__).parent
 REPO_ROOT = TESTS_DIR.parent
@@ -57,6 +63,22 @@ def desk_params(d: int, eps: float = 0.1, **over):
 
 def desk_context(g: BoundedDegreeGraph, master_seed: int = 42, **over) -> SeedContext:
     return SeedContext(master_seed, desk_params(g.d, **over))
+
+
+def brute_incoming_ball(g: BoundedDegreeGraph, params, v: int) -> tuple[int, ...]:
+    """Every w whose truncated diffusion puts mass on ``v`` at some t <= ell."""
+    hit = set()
+    for w in range(g.n):
+        for t in range(params.ell + 1):
+            if v in truncated_diffusion(g, w, t, params.rho, exact=params.exact):
+                hit.add(w)
+                break
+    return tuple(sorted(hit))
+
+
+def piece_map(g: BoundedDegreeGraph, partition: Partition) -> dict[int, tuple[int, ...]]:
+    """Each vertex's piece of ``partition``, from ``Partition.pieces``."""
+    return {v: tuple(piece) for piece in partition.pieces(g) for v in piece}
 
 
 def load_json(path: Path) -> dict:

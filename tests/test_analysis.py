@@ -143,6 +143,28 @@ def test_viability_census_quota_gate(bridge):
     assert all(row["viable"] == 0 for row in report.rows)
 
 
+def test_viability_census_counts_every_candidate_when_gated(bridge):
+    """A closed gate forces the choice to 0, but every row still carries the
+    number of kept seeds that ``viable`` accepts."""
+    ctx = desk_context(bridge, 3, beta=0.5, delta=0.5)
+    engine = PartitionOracle(bridge, ctx)
+    free = tuple(range(0, bridge.n, 2))
+    gated = [
+        h for h in range(1, 11)
+        if viability_census(bridge, ctx, h, free, range(1, 6)).summary["gated"]
+    ]
+    assert gated
+    for h in gated:
+        report = viability_census(bridge, ctx, h, free, range(0, 8), engine)
+        kept = [s for s in engine.phase_sample(h) if ctx.phase_of(s) >= h]
+        kept = kept[: ctx.params.keep_count]
+        assert report.summary["chosen_k"] == 0
+        assert [row["viable"] for row in report.rows] == [
+            sum(engine.viable(s, h, k, set(free).__contains__) for s in kept)
+            for k in range(0, 8)
+        ]
+
+
 # ----------------------------------------------------------- differential
 
 def test_differential_check_passes_on_the_bridge(bridge):

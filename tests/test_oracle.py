@@ -12,17 +12,19 @@ from partition_oracle import (
     PhaseThresholds,
     cluster,
     conductance,
-    find_anchor,
     find_ib,
-    find_partition,
-    findr,
-    global_partition,
-    is_free,
     truncated_diffusion,
 )
 from partition_oracle.oracle import OracleConfigError, ensure_desk_scale
 
-from conftest import bridge_graph, cycle_graph, desk_context, desk_params
+from conftest import (
+    bridge_graph,
+    brute_incoming_ball,
+    cycle_graph,
+    desk_context,
+    desk_params,
+    piece_map,
+)
 
 
 # ----------------------------------------------------------------- thresholds
@@ -54,8 +56,9 @@ def test_partition_pieces_split_disconnected_anchor_classes():
     g = BoundedDegreeGraph.from_edges(4, 2, [(0, 1), (2, 3)])
     part = Partition(anchors=(0, 0, 0, 0))
     assert part.pieces(g) == [[0, 1], [2, 3]]
-    assert part.piece_containing(g, 1) == (0, 1)
-    assert part.piece_containing(g, 3) == (2, 3)
+    pieces = piece_map(g, part)
+    assert pieces[1] == (0, 1)
+    assert pieces[3] == (2, 3)
 
 
 def test_partition_pieces_are_ordered_by_smallest_member():
@@ -131,16 +134,6 @@ def test_engine_cluster_at_matches_module_cluster():
 
 # -------------------------------------------------------------- incoming ball
 
-def brute_incoming_ball(g, params, v):
-    hit = set()
-    for w in range(g.n):
-        for t in range(params.ell + 1):
-            if v in truncated_diffusion(g, w, t, params.rho, exact=params.exact):
-                hit.add(w)
-                break
-    return tuple(sorted(hit))
-
-
 def test_find_ib_on_an_edge():
     g = BoundedDegreeGraph.from_edges(2, 2, [(0, 1)])
     params = desk_params(g.d)
@@ -173,7 +166,7 @@ def test_engine_find_ib_matches_module_find_ib(bridge):
 
 def test_findr_on_bridge_is_deterministic_and_pinned():
     g = bridge_graph()
-    th = findr(g, desk_context(g, 42))
+    th = PartitionOracle(g, desk_context(g, 42)).thresholds()
     assert th.k == (3, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     again = PartitionOracle(g, desk_context(g, 42)).thresholds()
     assert again.k == th.k
@@ -182,7 +175,7 @@ def test_findr_on_bridge_is_deterministic_and_pinned():
 def test_findr_final_phase_is_always_zero():
     g = bridge_graph()
     for seed in range(4):
-        th = findr(g, desk_context(g, seed))
+        th = PartitionOracle(g, desk_context(g, seed)).thresholds()
         assert th.k[-1] == 0
         assert len(th.k) == 10
         assert all(k >= 0 for k in th.k)
@@ -229,8 +222,8 @@ def test_is_free_validates_phase(bridge):
         engine.is_free(0, 0)
     with pytest.raises(ValueError):
         engine.is_free(0, 11)
-    th = engine.thresholds()
-    assert is_free(bridge, ctx, th, 0, 1, engine=engine)
+    engine.thresholds()
+    assert engine.is_free(0, 1)
 
 
 # --------------------------------------------------- anchors and local pieces
@@ -252,8 +245,9 @@ def test_local_queries_agree_with_the_global_partition(bridge):
         local = PartitionOracle(bridge, desk_context(bridge, seed))
         global_engine = PartitionOracle(bridge, desk_context(bridge, seed))
         reference = global_engine.global_partition()
+        pieces = piece_map(bridge, reference)
         for v in range(bridge.n):
-            assert local.find_partition(v) == reference.piece_containing(bridge, v)
+            assert local.find_partition(v) == pieces[v]
             assert local.find_anchor(v) == reference.anchors[v]
         assert local.thresholds() == global_engine.thresholds()
 
@@ -280,13 +274,13 @@ def test_partition_pieces_cover_every_vertex_once(bridge):
         assert sorted(flat) == list(range(bridge.n))
 
 
-def test_module_wrappers_match_engine_results(bridge):
+def test_engine_given_thresholds_matches_engine_results(bridge):
     ctx = desk_context(bridge)
     engine = PartitionOracle(bridge, ctx)
     th = engine.thresholds()
-    assert find_anchor(bridge, ctx, th, 2) == engine.find_anchor(2)
-    assert find_partition(bridge, ctx, th, 2) == engine.find_partition(2)
-    got = global_partition(bridge, desk_context(bridge))
+    assert PartitionOracle(bridge, ctx, th).find_anchor(2) == engine.find_anchor(2)
+    assert PartitionOracle(bridge, ctx, th).find_partition(2) == engine.find_partition(2)
+    got = PartitionOracle(bridge, desk_context(bridge)).global_partition()
     assert got.anchors == engine.global_partition().anchors
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from partition_oracle import SeedContext, geometric_from_uniform, phase_of, precedes, walk_len_of
+from partition_oracle import SeedContext, geometric_from_uniform
 
 from conftest import bridge_graph, desk_params
 
@@ -100,8 +100,6 @@ def test_phase_of_is_memoized_capped_geometric():
     # delta = 0.2: about a fifth of all vertices land in phase 1
     share = phases.count(1) / len(phases)
     assert 0.16 <= share <= 0.24
-    # the module-level helper is the same function
-    assert phase_of(ctx, 17) == ctx.phase_of(17)
 
 
 def test_phase_distribution_is_monotone_nonincreasing_in_h():
@@ -120,7 +118,6 @@ def test_walk_len_is_uniform_on_one_to_ell():
     assert all(1 <= t <= 20 for t in lens)
     assert min(lens) == 1
     assert max(lens) == 20
-    assert walk_len_of(ctx, 5) == ctx.walk_len_of(5)
     mean = sum(lens) / len(lens)
     assert abs(mean - 10.5) < 0.5
 
@@ -141,7 +138,7 @@ def test_precedes_is_a_strict_total_order():
     for i in range(n - 1):
         assert ctx.precedes(order[i], order[i + 1])
         assert not ctx.precedes(order[i + 1], order[i])
-    assert precedes(ctx, order[0], order[-1])
+    assert ctx.precedes(order[0], order[-1])
     with pytest.raises(ValueError, match="strict order"):
         ctx.precedes(4, 4)
 
