@@ -10,17 +10,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .diffusion import exact_number, lazy_step, truncate
+from .diffusion import Diffuser, exact_number
 from .graphs import BoundedDegreeGraph, VertexSet
 from .oracle import (
-    OracleConfigError,
     Partition,
     PartitionOracle,
     PhaseThresholds,
     SweepScan,
+    check_candidate_count,
     ensure_desk_scale,
 )
-from .params import MAX_K_CANDIDATES
 from .params import OracleParams
 from .seeds import SeedContext
 
@@ -118,12 +117,7 @@ def viability_census(
         engine = PartitionOracle(g, ctx)
     params = ctx.params
     ensure_desk_scale(params)
-    if isinstance(k_range, range):
-        span = max(0, (k_range.stop - k_range.start + k_range.step - 1) // k_range.step)
-        if span > MAX_K_CANDIDATES:
-            raise OracleConfigError(
-                f"{span} size-threshold candidates is beyond desk scale"
-            )
+    check_candidate_count(k_range)
     ks = tuple(k_range)
     summary, counts = engine.threshold_search(
         h, frozenset(F).__contains__, ks, count_when_gated=True
@@ -156,10 +150,10 @@ def leaky_census(
 
     rows: list[dict] = []
     non_leaking = 0
+    step = Diffuser(g, params.rho, exact).step
     p = {s: Fraction(1) if exact else 1.0}
     for t in range(1, params.ell + 1):
-        if p:
-            p = truncate(lazy_step(g, p, exact=exact), params.rho, exact=exact)
+        p = step(p)
         scan = SweepScan(g, p, s)
         certificate: int | None = None
         cert_phi: Fraction | None = None
@@ -210,13 +204,13 @@ def good_seed_census(
     beta = exact_number(params.beta)
     mass_bound = beta / 16
     step_quota = beta * params.ell / 8
+    step = Diffuser(g, params.rho, exact).step
     count = 0
     for s in sorted(free):
         p = {s: Fraction(1) if exact else 1.0}
         good_steps = 0
         for _ in range(params.ell):
-            if p:
-                p = truncate(lazy_step(g, p, exact=exact), params.rho, exact=exact)
+            p = step(p)
             mass_in_free = sum(mass for u, mass in p.items() if u in free)
             if Fraction(mass_in_free) >= mass_bound:
                 good_steps += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .graphs import BoundedDegreeGraph, VertexSet
@@ -74,6 +75,57 @@ def truncate(p: MassVector, rho: Mass, exact: bool = False) -> MassVector:
     return {v: m for v, m in p.items() if m > bound}
 
 
+def step_tables(g: BoundedDegreeGraph, exact: bool) -> tuple:
+    """:class:`Diffuser`'s tables for one mode, built once into ``g.derived``: adjacency,
+    stay factors (one per degree), closed neighborhoods, dense scratch, edge weight, zero."""
+    key = ("step", exact)
+    if key not in g.derived:
+        edge_w = Fraction(1, 2 * g.d) if exact else 1.0 / (2 * g.d)
+        stay = [1 - deg * edge_w for deg in range(g.d + 1)]
+        zero = 0 if exact else 0.0
+        g.derived[key] = (g.adjacency, [stay[len(a)] for a in g.adjacency],
+                          [(u,) + a for u, a in enumerate(g.adjacency)], [zero] * g.n,
+                          edge_w, zero)
+    return g.derived[key]
+
+
+class Diffuser:
+    """``truncate(lazy_step(g, p, exact), rho, exact)`` as one fused step.
+
+    The push adds shares into a dense scratch in ``lazy_step``'s order and
+    the gather reads the touched slots in its first-touch order, zeroing
+    each; so values and key order are the reference's while no stay share
+    is zero.  Diffusers on one graph share its tables and scratch.
+    """
+
+    def __init__(self, g: BoundedDegreeGraph, rho: Mass, exact: bool = False):
+        bound = exact_number(rho) if exact else float(rho) * (1.0 + DOUBLE_TRUNCATION_SLACK)
+        self.bound = max(bound, 0)  # lazy_step drops masses <= 0 as well
+        self.tables = step_tables(g, exact)
+
+    def step(self, p: MassVector) -> MassVector:
+        adj, stay, closed, acc, edge_w, zero = self.tables
+        bound = self.bound
+        order = sorted(p)
+        out: MassVector = {}
+        try:
+            for u in order:
+                m = p[u]
+                acc[u] += m * stay[u]
+                share = m * edge_w
+                for v in adj[u]:
+                    acc[v] += share
+            for v in dict.fromkeys(chain.from_iterable(map(closed.__getitem__, order))):
+                x = acc[v]
+                acc[v] = zero
+                if x > bound:
+                    out[v] = x
+        except BaseException:
+            acc[:] = [zero] * len(acc)
+            raise
+        return out
+
+
 def truncated_diffusion(
     g: BoundedDegreeGraph, v: int, t: int, rho: Mass, exact: bool = False
 ) -> MassVector:
@@ -85,8 +137,9 @@ def truncated_diffusion(
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     p: MassVector = {v: Fraction(1) if exact else 1.0}
+    step = Diffuser(g, rho, exact).step
     for _ in range(t):
-        p = truncate(lazy_step(g, p, exact=exact), rho, exact=exact)
+        p = step(p)
         if not p:
             break
     return p

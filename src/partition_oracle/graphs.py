@@ -36,6 +36,7 @@ class BoundedDegreeGraph:
     n: int
     d: int
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Iterable[tuple[int, int]]) -> "BoundedDegreeGraph":

@@ -18,11 +18,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .diffusion import (
+    Diffuser,
     MassVector,
     exact_number,
-    lazy_step,
     ranked_vertices,
-    truncate,
     truncated_diffusion,
 )
 from .graphs import BoundedDegreeGraph, VertexSet, connected_components
@@ -212,6 +211,13 @@ def _frontier_ib(
     return tuple(sorted(member))
 
 
+def check_candidate_count(ks: Sequence[int]) -> None:
+    # len() overflows on the astronomically long ranges of formula mode.
+    n = max(0, (ks.stop - ks.start + ks.step - 1) // ks.step) if isinstance(ks, range) else len(ks)
+    if n > MAX_K_CANDIDATES:
+        raise OracleConfigError(f"{n} size-threshold candidates is beyond desk scale")
+
+
 def ensure_desk_scale(params: OracleParams) -> None:
     if params.ell > MAX_DESK_ELL:
         raise OracleConfigError(
@@ -241,6 +247,7 @@ class PartitionOracle:
         self._beta = exact_number(self.params.beta)
         self._thresholds = thresholds
         self._ks: list[int] | None = list(thresholds.k) if thresholds else None
+        self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
         # One resumable walk per source: [step, vector at step, first hits].
         self._walks: dict[int, list] = {}
         self._vecs: dict[tuple[int, int], MassVector] = {}
@@ -265,14 +272,13 @@ class PartitionOracle:
             self._walks[s] = walk
         step, p, first_hit = walk
         if step < t:
-            exact, rho = self.params.exact, self.params.rho
+            diffuse = self._diffuser.step
             t_s = self.ctx.walk_len_of(s)
             while step < t:
                 step += 1
                 if p:
-                    p = truncate(lazy_step(self.g, p, exact=exact), rho, exact=exact)
-                    for u in p:
-                        first_hit.setdefault(u, step)
+                    p = diffuse(p)
+                    first_hit.update(dict.fromkeys(p.keys() - first_hit.keys(), step))
                 if step == t_s:
                     self._vecs[(s, t_s)] = p
             # A finished walk needs only its first hits.
@@ -294,15 +300,14 @@ class PartitionOracle:
 
     def vec_at(self, s: int, t: int) -> MassVector:
         key = (s, t)
-        vec = self._vecs.get(key)
-        if vec is None:
+        if key not in self._vecs:
             if t == self.ctx.walk_len_of(s):
-                self._walk_to(s, t)
-                vec = self._vecs[key]
+                self._walk_to(s, t)  # keeps the vector at t_s
             else:
-                vec = truncated_diffusion(self.g, s, t, self.params.rho, exact=self.params.exact)
-                self._vecs[key] = vec
-        return vec
+                self._vecs[key] = truncated_diffusion(
+                    self.g, s, t, self.params.rho, exact=self.params.exact
+                )
+        return self._vecs[key]
 
     def _scan_at(self, s: int, t: int) -> SweepScan:
         key = (s, t)
@@ -363,16 +368,7 @@ class PartitionOracle:
             raise OracleConfigError(
                 f"sample_count={params.sample_count} is beyond desk scale"
             )
-        kc = params.k_candidates
-        n_candidates = (
-            max(0, (kc.stop - kc.start + kc.step - 1) // kc.step)
-            if isinstance(kc, range)
-            else len(kc)
-        )
-        if n_candidates > MAX_K_CANDIDATES:
-            raise OracleConfigError(
-                f"{n_candidates} size-threshold candidates is beyond desk scale"
-            )
+        check_candidate_count(params.k_candidates)
 
     def viable_flags(
         self, s: int, ks: Sequence[int], free_test: Callable[[int], bool]

@@ -9,10 +9,16 @@ from partition_oracle import (
     Partition,
     PartitionOracle,
     PhaseThresholds,
+    cut_size,
     differential_check,
+    exact_number,
+    gen_grid,
     good_seed_census,
+    lazy_step,
     leaky_census,
     measure_cut,
+    ranked_vertices,
+    truncate,
     viability_census,
 )
 
@@ -103,6 +109,80 @@ def test_good_seed_census_is_monotone_in_the_free_set():
 def test_good_seed_census_rejects_empty_free_set():
     with pytest.raises(ValueError, match="at least one vertex"):
         good_seed_census(cycle_graph(8), desk_params(2), ())
+
+
+# --------------------------------------------- censuses against reference loops
+
+def reference_leaky_rows(g, params, s, free):
+    """The leaky census rebuilt from ``lazy_step``/``truncate`` and cut sizes."""
+    exact = params.exact
+    alpha_sq = exact_number(params.alpha) ** 2
+    phi_bound = Fraction(1) / (g.d * exact_number(params.ell ** (1 / 3)))
+    p = {s: Fraction(1) if exact else 1.0}
+    rows = []
+    for t in range(1, params.ell + 1):
+        p = truncate(lazy_step(g, p, exact), params.rho, exact)
+        ranked = ranked_vertices(p)
+        certificate = None
+        for k in range(1, min(params.k_cap, len(ranked), g.n - 1) + 1):
+            prefix = ranked[:k]
+            if Fraction(len([u for u in prefix if u in free])) < alpha_sq * k / 400:
+                continue
+            phi = Fraction(cut_size(g, set(prefix)), 2 * min(k, g.n - k) * g.d)
+            if phi < phi_bound:
+                certificate = (k, float(phi))
+                break
+        rows.append({
+            "s": s,
+            "t": t,
+            "leaking": certificate is None,
+            "certificate_k": certificate[0] if certificate else None,
+            "conductance": certificate[1] if certificate else None,
+        })
+    return rows
+
+
+def reference_good_seeds(g, params, free):
+    """The good-seed census rebuilt from ``lazy_step``/``truncate``; the
+    in-free mass is summed in dict order, as the census sums it."""
+    exact = params.exact
+    beta = exact_number(params.beta)
+    count = 0
+    for s in sorted(free):
+        p = {s: Fraction(1) if exact else 1.0}
+        good_steps = 0
+        for _ in range(params.ell):
+            p = truncate(lazy_step(g, p, exact), params.rho, exact)
+            if Fraction(sum(m for u, m in p.items() if u in free)) >= beta / 16:
+                good_steps += 1
+        count += Fraction(good_steps) >= beta * params.ell / 8
+    return count
+
+
+CENSUS_CASES = [
+    (cycle_graph(8), (0, 1, 2, 5)),
+    (bridge_graph(), (0, 1, 2, 3, 6)),
+    (gen_grid(6, 6), tuple(range(0, 36, 3)) + (13, 14, 20)),
+]
+
+
+# The desk parameters, and a coarse truncation under which walks on these
+# small graphs die out, so that the good-seed count falls below |F|.
+CENSUS_OVERRIDES = [{}, {"rho": 0.1, "beta": 0.9, "ell": 40, "k_candidates": range(1, 11)}]
+
+
+@pytest.mark.parametrize("arithmetic", ["double", "exact"])
+@pytest.mark.parametrize("over", CENSUS_OVERRIDES, ids=["desk", "coarse"])
+@pytest.mark.parametrize("g, partial", CENSUS_CASES, ids=["cycle", "bridge", "grid6"])
+def test_censuses_equal_reference_loops(g, partial, over, arithmetic):
+    params = desk_params(g.d, arithmetic=arithmetic, **over)
+    for free in (tuple(range(g.n)), tuple(sorted(partial))):
+        for s in sorted({0, g.n // 2, g.n - 1, *partial[:3]}):
+            rows = list(leaky_census(g, params, s, free).rows)
+            assert rows == reference_leaky_rows(g, params, s, set(free)), s
+        assert good_seed_census(g, params, free) == reference_good_seeds(
+            g, params, set(free)
+        )
 
 
 # ----------------------------------------------------------- viability census

@@ -19,6 +19,7 @@ from partition_oracle import (
     truncate,
     truncated_diffusion,
 )
+from partition_oracle.diffusion import Diffuser
 
 from conftest import bridge_graph, cycle_graph, path_graph
 
@@ -200,3 +201,48 @@ def test_chord_comparison_validates_x():
         ls_check_chord(g, {0: 1.0}, 0)
     with pytest.raises(ValueError):
         ls_check_chord(g, {0: 1.0}, 6)
+
+
+# ------------------------------------------------------- the fused step
+
+def reference_walk(g, s, steps, rho, exact):
+    p = {s: Fraction(1) if exact else 1.0}
+    out = []
+    for _ in range(steps):
+        p = truncate(lazy_step(g, p, exact), rho, exact)
+        out.append(list(p.items()))
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_step_that_raises_leaves_the_scratch_zeroed(exact):
+    """An out-of-range id raises partway through the push, after earlier
+    vertices have added their shares; the next step is still exact."""
+    g = gen_grid(4, 4)
+    diffuser = Diffuser(g, 0.001, exact)
+    one = Fraction(1) if exact else 1.0
+    with pytest.raises(IndexError):
+        diffuser.step({0: one, 5: one, g.n: one})
+    assert all(x == 0 for x in diffuser.tables[3])
+    p = {5: one}
+    for got in reference_walk(g, 5, 6, 0.001, exact):
+        p = diffuser.step(p)
+        assert list(p.items()) == got
+
+
+def test_diffusers_on_one_graph_share_tables_and_walk_in_turn():
+    """Every Diffuser of one mode on a graph uses the graph's one scratch;
+    walks advanced in turn, with different bounds, match separate runs."""
+    g = gen_grid(5, 5)
+    rhos = (0.001, 0.02)
+    diffusers = [Diffuser(g, rho) for rho in rhos]
+    assert diffusers[0].tables is diffusers[1].tables
+    assert Diffuser(g, 0.001, exact=True).tables[3] is not diffusers[0].tables[3]
+    walks = [{7: 1.0}, {12: 1.0}]
+    got: list[list] = [[], []]
+    for _ in range(10):
+        for i, diffuser in enumerate(diffusers):
+            walks[i] = diffuser.step(walks[i])
+            got[i].append(list(walks[i].items()))
+    assert got[0] == reference_walk(gen_grid(5, 5), 7, 10, rhos[0], False)
+    assert got[1] == reference_walk(gen_grid(5, 5), 12, 10, rhos[1], False)

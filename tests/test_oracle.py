@@ -11,18 +11,25 @@ from partition_oracle import (
     PartitionOracle,
     PhaseThresholds,
     cluster,
+    SeedContext,
     conductance,
+    derive_params,
     find_ib,
+    gen_grid,
     truncated_diffusion,
 )
+from partition_oracle.applications import oracle_overrides
 from partition_oracle.oracle import OracleConfigError, ensure_desk_scale
 
 from conftest import (
+    CONFIG_DIR,
+    DATA_DIR,
     bridge_graph,
     brute_incoming_ball,
     cycle_graph,
     desk_context,
     desk_params,
+    load_json,
     piece_map,
 )
 
@@ -293,3 +300,57 @@ def test_desk_scale_guard_rejects_formula_walk_lengths():
     with pytest.raises(OracleConfigError, match="beyond desk scale"):
         ensure_desk_scale(paper)
     ensure_desk_scale(desk_params(3))
+
+
+# ------------------------------------------------------- shared step tables
+
+def test_engines_on_one_graph_walk_in_turn_like_separate_runs():
+    """Engines on one graph share its step scratch (two double-mode engines
+    with different bounds, one exact); advancing their walks in turn gives
+    each the vectors and first hits of a run on a graph of its own."""
+    g = gen_grid(6, 6)
+    contexts = [
+        desk_context(g),
+        desk_context(g, rho=0.02),
+        desk_context(g, arithmetic="exact"),
+    ]
+    ell = contexts[0].params.ell
+    shared = [PartitionOracle(g, ctx) for ctx in contexts]
+    in_turn: dict = {}
+    for t in range(1, ell):
+        for s in range(g.n):
+            for i, engine in enumerate(shared):
+                in_turn[i, s, t] = list(engine._walk_to(s, t)[1].items())
+    for i, ctx in enumerate(contexts):
+        alone = PartitionOracle(gen_grid(6, 6), ctx)
+        for s in range(g.n):
+            for t in range(1, ell):
+                assert list(alone._walk_to(s, t)[1].items()) == in_turn[i, s, t]
+            assert alone.trajectory_masks(s) == shared[i].trajectory_masks(s)
+
+
+def test_a_cold_query_reuses_the_graph_step_tables():
+    """A fresh engine on a graph with built tables builds nothing of size n:
+    it takes the graph's tables, and its own caches stay local."""
+    config = load_json(CONFIG_DIR / "partition_grid50.json")
+    golden = load_json(DATA_DIR / "grid50_golden.json")
+    g = gen_grid(50, 50)
+    params = derive_params(
+        config["eps"], g.d, config["mode"], oracle_overrides(config["overrides"])
+    )
+    ctx = SeedContext(config["seed"], params)
+    thresholds = PhaseThresholds(tuple(golden["thresholds"]))
+    first = PartitionOracle(g, ctx, thresholds)
+    first.find_partition(0)
+    derived = dict(g.derived)
+    cold = PartitionOracle(g, ctx, thresholds)
+    assert cold._diffuser.tables is first._diffuser.tables
+    cold.find_partition(1275)
+    assert g.derived.keys() == derived.keys()
+    assert all(g.derived[key] is table for key, table in derived.items())
+    sizes = {
+        name: len(value)
+        for name, value in vars(cold).items()
+        if isinstance(value, (dict, list, tuple, set, frozenset))
+    }
+    assert max(sizes.values()) < g.n // 4, sizes

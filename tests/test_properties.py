@@ -3,10 +3,14 @@
 Graphs are drawn from three bounded-degree families: random trees, grids
 with random edge deletions, and two cycles joined by a bridge.  Each
 property compares two engines that share nothing but the graph, the
-parameters and the master seed.
+parameters and the master seed, or a fast path with its reference
+definition.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from partition_oracle import (
@@ -15,8 +19,12 @@ from partition_oracle import (
     SeedContext,
     gen_grid,
     gen_random_tree,
+    gen_triangulated_grid,
+    lazy_step,
+    truncate,
     truncated_diffusion,
 )
+from partition_oracle.diffusion import Diffuser
 
 from conftest import brute_incoming_ball, desk_params
 
@@ -188,3 +196,59 @@ def test_vec_at_resumes_one_walk(g, seed, arithmetic):
             support = truncated_diffusion(g, s, t, params.rho, exact=params.exact)
             assert all(hits[u] <= t for u in support), (s, t)
             assert {u for u, fh in hits.items() if fh == t} <= set(support), (s, t)
+
+
+# -- the fused diffusion step --------------------------------------------------
+
+@st.composite
+def triangulated_grids(draw) -> BoundedDegreeGraph:
+    """d = 6 with mixed degrees: corners, borders and interior differ."""
+    return gen_triangulated_grid(draw(st.integers(2, 5)), draw(st.integers(2, 6)))
+
+
+@st.composite
+def with_isolated_vertex(draw) -> BoundedDegreeGraph:
+    """A drawn graph with one extra, edgeless vertex at a drawn id."""
+    g = draw(graphs)
+    i = draw(st.integers(0, g.n))
+    edges = [(a + (a >= i), b + (b >= i)) for a, b in g.edges()]
+    return BoundedDegreeGraph.from_edges(g.n + 1, g.d, edges)
+
+
+def exactly(p: dict) -> list:
+    """Keys in order, each with its mass's type and exact value."""
+    return [
+        (v, type(m), m.hex() if isinstance(m, float) else m) for v, m in p.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [graphs, triangulated_grids(), with_isolated_vertex()],
+    ids=["families", "triangulated", "isolated"],
+)
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fused_step_equals_the_reference_step(family, exact, data):
+    """``Diffuser.step`` returns ``truncate(lazy_step(...))``: every value
+    bit for bit, of the same type, under the same keys in the same order.
+    Checked at every step of a walk from every vertex, and on one signed
+    vector, where masses cancel and a bound <= 0 must still drop them."""
+    g = data.draw(family)
+    rho = data.draw(st.sampled_from([0.001, 0.02, 0.07, 0.2]))
+    step = Diffuser(g, rho, exact).step
+    one = Fraction(1) if exact else 1.0
+    for s in range(g.n):
+        p = {s: one}
+        for t in range(1, 13):
+            expected = truncate(lazy_step(g, p, exact), rho, exact)
+            assert exactly(step(p)) == exactly(expected), (s, t)
+            p = expected
+            if not p:
+                break
+    signed = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=g.n))
+    signed_rho = data.draw(st.sampled_from([-0.05, 0.0, 0.01]))
+    vec = {v: one * m / 4 for v, m in enumerate(signed)}
+    expected = truncate(lazy_step(g, vec, exact), signed_rho, exact)
+    assert exactly(Diffuser(g, signed_rho, exact).step(vec)) == exactly(expected)
