@@ -32,7 +32,6 @@ class CutReport:
     d: int
     cut_edges: int
     cut_fraction: float
-    epsilon_equivalent: float
     piece_size_histogram: dict[int, int]
     singleton_fraction: float
 
@@ -42,7 +41,6 @@ class CutReport:
             "d": self.d,
             "cut_edges": self.cut_edges,
             "cut_fraction": self.cut_fraction,
-            "epsilon_equivalent": self.epsilon_equivalent,
             "piece_size_histogram": {
                 str(size): count
                 for size, count in sorted(self.piece_size_histogram.items())
@@ -87,13 +85,11 @@ def measure_cut(g: BoundedDegreeGraph, partition: Partition) -> CutReport:
             label[v] = idx
     cut_edges = sum(1 for u, v in g.edges() if label[u] != label[v])
     dn = g.d * g.n
-    fraction = cut_edges / dn if dn else 0.0
     return CutReport(
         n=g.n,
         d=g.d,
         cut_edges=cut_edges,
-        cut_fraction=fraction,
-        epsilon_equivalent=fraction,
+        cut_fraction=cut_edges / dn if dn else 0.0,
         piece_size_histogram=histogram,
         singleton_fraction=singleton_vertices / g.n if g.n else 0.0,
     )
@@ -115,8 +111,6 @@ def viability_census(
     """
     if engine is None:
         engine = PartitionOracle(g, ctx)
-    params = ctx.params
-    ensure_desk_scale(params)
     check_candidate_count(k_range)
     ks = tuple(k_range)
     summary, counts = engine.threshold_search(

@@ -75,7 +75,7 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
 
 
 class _ConfigFile:
-    """JSON loading shared by the calibrated config dataclasses."""
+    """JSON loading and oracle parameters shared by the calibrated configs."""
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
@@ -88,6 +88,12 @@ class _ConfigFile:
     def load(cls, path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+    def oracle_params(self, g: BoundedDegreeGraph, epsilon: float) -> OracleParams:
+        """The oracle's parameters for a run at ``epsilon`` (it runs at epsilon / 8)."""
+        return derive_params(
+            epsilon / 8, g.d, mode=self.mode, overrides=oracle_overrides(self.overrides)
+        )
 
 
 @dataclass(frozen=True)
@@ -149,14 +155,6 @@ def estimate_cut_fraction(
     return _cut_probe_hits(engine, ctx, samples) / samples
 
 
-def _tester_params(
-    g: BoundedDegreeGraph, epsilon: float, config: TesterConfig
-) -> OracleParams:
-    return derive_params(
-        epsilon / 8, g.d, mode=config.mode, overrides=oracle_overrides(config.overrides)
-    )
-
-
 def run_tester(
     g: BoundedDegreeGraph,
     epsilon: float,
@@ -179,7 +177,7 @@ def run_tester(
     retries = trials if trials is not None else config.retries
     if retries < 1:
         raise ValueError(f"need at least one phase-1 trial, got {retries}")
-    params = _tester_params(g, epsilon, config)
+    params = config.oracle_params(g, epsilon)
     threshold = (
         exact_number(config.cut_threshold)
         if config.cut_threshold is not None
@@ -264,10 +262,7 @@ def run_estimator(
         raise ValueError(f"samples must be >= 1 or None, got {samples}")
     if config is None:
         config = EstimatorConfig()
-    params = derive_params(
-        epsilon / 8, g.d, mode=config.mode, overrides=oracle_overrides(config.overrides)
-    )
-    ctx = SeedContext(master_seed, params)
+    ctx = SeedContext(master_seed, config.oracle_params(g, epsilon))
     engine = PartitionOracle(g, ctx)
     scores: dict[VertexSet, int] = {}  # every member of a piece shares its score
 

@@ -4,10 +4,10 @@ The same fixed randomness — per-vertex phases and walk lengths derived from
 one master seed — drives both the one-shot global partitioning procedure and
 the per-vertex local query path, and the two are exactly equivalent: a local
 query returns precisely the piece the global procedure would assign.  The
-:class:`PartitionOracle` engine keeps one resumable diffusion walk per
-source, with the first step at which the walk reaches each vertex, and
-memoizes sweep scans, per-seed clusters, and anchors, so batches of local
-queries share work.
+:class:`PartitionOracle` engine keeps one resumable diffusion walk and one
+sweep scan per source, one cluster per seed, and one resumable capture scan
+per vertex, which answers both ``is_free`` and ``find_anchor``; batches of
+local queries share all of it.
 """
 from __future__ import annotations
 
@@ -231,7 +231,9 @@ class PartitionOracle:
 
     Thresholds are computed once per (graph, seed, params): lazily by the
     local findr, or phase by phase inside the global pass, whichever runs
-    first.  An engine is not safe to share between threads.
+    first.  The walk-length cap and the phase count are checked against
+    desk scale when the engine is built.  An engine is not safe to share
+    between threads.
     """
 
     def __init__(
@@ -240,6 +242,11 @@ class PartitionOracle:
         ctx: SeedContext,
         thresholds: PhaseThresholds | None = None,
     ):
+        ensure_desk_scale(ctx.params)
+        if ctx.params.h_bar > MAX_FINDR_PHASES:
+            raise OracleConfigError(
+                f"h_bar={ctx.params.h_bar} phases is beyond desk scale"
+            )
         self.g = g
         self.ctx = ctx
         self.params = ctx.params
@@ -248,15 +255,13 @@ class PartitionOracle:
         self._thresholds = thresholds
         self._ks: list[int] | None = list(thresholds.k) if thresholds else None
         self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
-        # One resumable walk per source: [step, vector at step, first hits].
+        # Per source: [step, vector at step, first hits, vector at t_s].
         self._walks: dict[int, list] = {}
-        self._vecs: dict[tuple[int, int], MassVector] = {}
-        self._scans: dict[tuple[int, int], SweepScan] = {}
-        self._seed_cluster: dict[int, VertexSet] = {}
-        self._seed_cluster_set: dict[int, frozenset] = {}
-        self._ib: dict[int, VertexSet] = {}
-        self._anchor: dict[int, int] = {}
-        self._capture: dict[int, tuple[int, int | None]] = {}
+        self._scans: dict[int, SweepScan] = {}
+        # Per seed: its cluster at t_s and k_{h_s}.
+        self._seed_cluster: dict[int, frozenset] = {}
+        # Per vertex: [incoming ball in processing order, cursor, anchor].
+        self._capture: dict[int, list] = {}
 
     # -- diffusion caches ---------------------------------------------------
 
@@ -268,9 +273,9 @@ class PartitionOracle:
         """
         walk = self._walks.get(s)
         if walk is None:
-            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s: 0}]
+            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s: 0}, None]
             self._walks[s] = walk
-        step, p, first_hit = walk
+        step, p, first_hit, _ = walk
         if step < t:
             diffuse = self._diffuser.step
             t_s = self.ctx.walk_len_of(s)
@@ -280,7 +285,7 @@ class PartitionOracle:
                     p = diffuse(p)
                     first_hit.update(dict.fromkeys(p.keys() - first_hit.keys(), step))
                 if step == t_s:
-                    self._vecs[(s, t_s)] = p
+                    walk[3] = p
             # A finished walk needs only its first hits.
             walk[0], walk[1] = step, p if step < self.params.ell else None
         return walk
@@ -294,32 +299,23 @@ class PartitionOracle:
         """
         walk = self._walks.get(w)
         if walk is None or walk[0] < self.params.ell:
-            ensure_desk_scale(self.params)
             walk = self._walk_to(w, self.params.ell)
         return walk[2]
 
-    def vec_at(self, s: int, t: int) -> MassVector:
-        key = (s, t)
-        if key not in self._vecs:
-            if t == self.ctx.walk_len_of(s):
-                self._walk_to(s, t)  # keeps the vector at t_s
-            else:
-                self._vecs[key] = truncated_diffusion(
-                    self.g, s, t, self.params.rho, exact=self.params.exact
-                )
-        return self._vecs[key]
+    def vec_at(self, s: int) -> MassVector:
+        """The truncated diffusion from ``s`` after its walk length t_s."""
+        return self._walk_to(s, self.ctx.walk_len_of(s))[3]
 
-    def _scan_at(self, s: int, t: int) -> SweepScan:
-        key = (s, t)
-        scan = self._scans.get(key)
+    def _scan(self, s: int) -> SweepScan:
+        scan = self._scans.get(s)
         if scan is None:
-            scan = SweepScan(self.g, self.vec_at(s, t), s)
-            self._scans[key] = scan
+            scan = SweepScan(self.g, self.vec_at(s), s)
+            self._scans[s] = scan
         return scan
 
-    def cluster_at(self, s: int, t: int, k: int) -> VertexSet:
-        """cluster(s, t, k) backed by the per-(s, t) sweep cache."""
-        return self._scan_at(s, t).cluster(self._phi, k) if k > 0 else (s,)
+    def cluster_at(self, s: int, k: int) -> VertexSet:
+        """cluster(s, t_s, k), backed by the per-seed sweep cache."""
+        return self._scan(s).cluster(self._phi, k) if k > 0 else (s,)
 
     # -- thresholds (findr) -------------------------------------------------
 
@@ -351,7 +347,7 @@ class PartitionOracle:
         beta^3 * k vertices passing ``free_test``.  This is the definition;
         findr evaluates it for every k at once with ``viable_flags``.
         """
-        c = self.cluster_at(s, self.ctx.walk_len_of(s), k)
+        c = self.cluster_at(s, k)
         if len(c) <= 1:
             return False
         free_members = sum(1 for u in c if free_test(u))
@@ -359,11 +355,6 @@ class PartitionOracle:
 
     def _check_findr_scale(self) -> None:
         params = self.params
-        ensure_desk_scale(params)
-        if params.h_bar > MAX_FINDR_PHASES:
-            raise OracleConfigError(
-                f"h_bar={params.h_bar} phases is beyond desk scale"
-            )
         if params.sample_count > MAX_FINDR_SAMPLES:
             raise OracleConfigError(
                 f"sample_count={params.sample_count} is beyond desk scale"
@@ -380,7 +371,7 @@ class PartitionOracle:
         to the longest accepted prefix, serves every k, and ``free_test``
         sees each vertex at most once.
         """
-        scan = self._scan_at(s, self.ctx.walk_len_of(s))
+        scan = self._scan(s)
         # The singleton {s} is never viable, so its pick asks nothing.
         picks = [
             pick if pick is not None and (pick[0] > 1 or not pick[1]) else None
@@ -476,25 +467,40 @@ class PartitionOracle:
 
     def seed_cluster(self, s: int) -> VertexSet:
         """cluster(s, t_s, k_{h_s}): the cluster ``s`` grows as a seed."""
+        return tuple(sorted(self._seed_set(s)))
+
+    def _seed_set(self, s: int) -> frozenset:
         c = self._seed_cluster.get(s)
         if c is None:
-            c = self.cluster_at(s, self.ctx.walk_len_of(s), self._k_of(self.ctx.phase_of(s)))
+            c = frozenset(self.cluster_at(s, self._k_of(self.ctx.phase_of(s))))
             self._seed_cluster[s] = c
-            self._seed_cluster_set[s] = frozenset(c)
         return c
-
-    def _seed_captures(self, s: int, u: int) -> bool:
-        self.seed_cluster(s)
-        return u in self._seed_cluster_set[s]
 
     def find_ib(self, v: int) -> VertexSet:
         """All vertices whose truncated diffusion ever puts mass on ``v``."""
-        got = self._ib.get(v)
-        if got is None:
-            ensure_desk_scale(self.params)
-            got = _frontier_ib(self.g, self.params.ell, v, self.trajectory_masks)
-            self._ib[v] = got
-        return got
+        return _frontier_ib(self.g, self.params.ell, v, self.trajectory_masks)
+
+    def _capturer(self, u: int, h: int) -> int | None:
+        """Resume the capture scan of ``u`` through the seeds of phases < ``h``.
+
+        The scan walks the incoming ball of ``u`` in processing order and
+        stops at the first seed whose cluster contains ``u``: the anchor.
+        Returns the anchor once found, whatever its phase, else None.
+        """
+        scan = self._capture.get(u)
+        if scan is None:
+            scan = [sorted(self.find_ib(u), key=self.ctx.order_key), 0, None]
+            self._capture[u] = scan
+        ball, i, anchor = scan
+        if anchor is None:
+            phase_of = self.ctx.phase_of
+            while i < len(ball) and phase_of(ball[i]) < h:
+                if u in self._seed_set(ball[i]):
+                    anchor = ball[i]
+                    break
+                i += 1
+            scan[1], scan[2] = i, anchor
+        return anchor
 
     def is_free(self, u: int, h: int) -> bool:
         """Whether ``u`` is still unclustered when phase ``h`` starts.
@@ -512,34 +518,19 @@ class PartitionOracle:
             # threshold computation itself the first h-1 entries are already
             # in place, so this never re-enters findr.
             self.thresholds()
-        checked, captured = self._capture.get(u, (1, None))
-        if captured is not None and captured < h:
-            return False
-        if checked < h:
-            for w in self.find_ib(u):
-                hw = self.ctx.phase_of(w)
-                if checked <= hw < h and self._seed_captures(w, u):
-                    if captured is None or hw < captured:
-                        captured = hw
-            self._capture[u] = (h, captured)
-        return captured is None or captured >= h
+        anchor = self._capturer(u, h)
+        return anchor is None or self.ctx.phase_of(anchor) >= h
 
     def find_anchor(self, v: int) -> int:
         """The first seed in processing order whose cluster contains ``v``."""
-        a = self._anchor.get(v)
-        if a is None:
-            self.thresholds()
-            for s in sorted(self.find_ib(v), key=self.ctx.order_key):
-                if self._seed_captures(s, v):
-                    a = s
-                    break
-            if a is None:
-                raise RuntimeError(
-                    f"no capturing seed found for vertex {v}; "
-                    "the incoming-ball search is incomplete"
-                )
-            self._anchor[v] = a
-        return a
+        self.thresholds()
+        anchor = self._capturer(v, self.params.h_bar + 1)
+        if anchor is None:
+            raise RuntimeError(
+                f"no capturing seed found for vertex {v}; "
+                "the incoming-ball search is incomplete"
+            )
+        return anchor
 
     def find_partition(self, v: int) -> VertexSet:
         """The full piece containing ``v``: BFS over same-anchor vertices."""
@@ -590,7 +581,7 @@ class PartitionOracle:
                     self._choose_threshold(h, free.__getitem__) if h < h_bar else 0
                 )
             for v in seeds_of[h]:
-                for u in self.seed_cluster(v):
+                for u in self._seed_set(v):
                     if free[u]:
                         anchors[u] = v
                         free[u] = False

@@ -160,7 +160,6 @@ def derive_params(
     d: int,
     mode: str = EXPLICIT_MODE,
     overrides: dict | None = None,
-    arithmetic: str = "double",
 ) -> OracleParams:
     """Build a validated parameter bundle.
 
@@ -169,10 +168,10 @@ def derive_params(
     (an overridden ``delta`` feeds the default ``h_bar``, an overridden
     ``rho`` feeds the default ``k_candidates``, an overridden ``beta`` feeds
     the default sample sizes).  Formula mode forbids overrides other than
-    ``arithmetic``, which takes precedence over the argument of that name.
+    ``arithmetic`` ("double" unless overridden).
     """
     overrides = dict(overrides or {})
-    arithmetic = overrides.pop("arithmetic", arithmetic)
+    arithmetic = overrides.pop("arithmetic", "double")
     if mode == PAPER_MODE and overrides:
         raise ParamError("formula mode computes every field; overrides not allowed")
     unknown = set(overrides) - set(_FIELD_ORDER)

@@ -32,7 +32,6 @@ def test_measure_cut_all_singletons():
     report = measure_cut(g, Partition(anchors=(0, 1, 2)))
     assert report.cut_edges == 2
     assert report.cut_fraction == pytest.approx(2 / 6)
-    assert report.epsilon_equivalent == report.cut_fraction
     assert report.piece_size_histogram == {1: 3}
     assert report.singleton_fraction == 1.0
 

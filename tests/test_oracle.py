@@ -131,12 +131,15 @@ def test_cluster_validates_inputs():
 
 
 def test_engine_cluster_at_matches_module_cluster():
+    """The engine's cluster of each vertex is the module cluster at its t_s."""
     g = bridge_graph()
     ctx = desk_context(g)
     engine = PartitionOracle(g, ctx)
     params = ctx.params
-    for t, k in [(12, 3), (5, 2), (20, 1)]:
-        assert engine.cluster_at(0, t, k) == cluster(g, params, 0, t, k)
+    for v in range(g.n):
+        t_v = ctx.walk_len_of(v)
+        for k in (0, 1, 2, 3, 4):
+            assert engine.cluster_at(v, k) == cluster(g, params, v, t_v, k), (v, k)
 
 
 # -------------------------------------------------------------- incoming ball
@@ -300,6 +303,16 @@ def test_desk_scale_guard_rejects_formula_walk_lengths():
     with pytest.raises(OracleConfigError, match="beyond desk scale"):
         ensure_desk_scale(paper)
     ensure_desk_scale(desk_params(3))
+
+
+def test_engine_refuses_formula_parameters_when_built(bridge):
+    """Given thresholds skip findr, so the engine itself checks ell and
+    h_bar: the global pass would otherwise allocate one list per phase."""
+    paper = derive_params(0.5, 2, "paper")
+    with pytest.raises(OracleConfigError, match="beyond desk scale"):
+        PartitionOracle(bridge, SeedContext(0, paper), PhaseThresholds((0,)))
+    with pytest.raises(OracleConfigError, match="h_bar="):
+        PartitionOracle(bridge, desk_context(bridge, h_bar=10**7), PhaseThresholds((0,)))
 
 
 # ------------------------------------------------------- shared step tables

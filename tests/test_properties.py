@@ -111,6 +111,31 @@ def test_global_free_sets_match_is_free(g, seed):
         assert {u for u in range(g.n) if fresh.is_free(u, h)} == free, h
 
 
+@PROPERTY_SETTINGS
+@given(graphs, master_seeds, st.data())
+def test_capture_scan_answers_in_any_order(g, seed, data):
+    """One capture scan per vertex serves ``is_free`` and ``find_anchor``
+    asked in any order: anchors before free tests, and phases descending
+    as well as ascending.  The answers match a separate global pass.  The
+    local engine is given the thresholds, so no findr runs ahead of the
+    drawn order."""
+    reference = engine(g, seed)
+    partition, free_sets = reference.global_partition_with_free_sets()
+    phases = sorted(free_sets)
+    queries = [("anchor", v, None) for v in range(g.n)]
+    queries += [("free", u, h) for u in range(g.n) for h in phases]
+    # Anchors first and phases descending, then shuffled by the draw.
+    queries.sort(key=lambda q: (q[0] != "anchor", -(q[2] or 0)))
+    head = data.draw(st.integers(0, len(queries)))
+    queries = queries[:head] + data.draw(st.permutations(queries[head:]))
+    local = PartitionOracle(g, reference.ctx, reference.thresholds())
+    for kind, u, h in queries:
+        if kind == "anchor":
+            assert local.find_anchor(u) == partition.anchors[u], u
+        else:
+            assert local.is_free(u, h) == (u in free_sets[h]), (u, h)
+
+
 # -- the local findr's internals ----------------------------------------------
 
 @PROPERTY_SETTINGS
@@ -178,7 +203,7 @@ def tiny_graphs(draw) -> BoundedDegreeGraph:
 @PROPERTY_SETTINGS
 @given(tiny_graphs(), master_seeds, st.sampled_from(["double", "exact"]))
 def test_vec_at_resumes_one_walk(g, seed, arithmetic):
-    """``vec_at(s, t_s)`` is the t_s-step truncated diffusion, whether the
+    """``vec_at(s)`` is the t_s-step truncated diffusion, whether the
     walk stopped at t_s or ran on to ell first, and finishing a walk from
     t_s records the same first hits as running it from step 0."""
     params = desk_params(g.d, arithmetic=arithmetic)
@@ -188,9 +213,9 @@ def test_vec_at_resumes_one_walk(g, seed, arithmetic):
     for s in range(g.n):
         t_s = ctx.walk_len_of(s)
         expected = truncated_diffusion(g, s, t_s, params.rho, exact=params.exact)
-        assert partial_first.vec_at(s, t_s) == expected, s
+        assert partial_first.vec_at(s) == expected, s
         hits = full_first.trajectory_masks(s)
-        assert full_first.vec_at(s, t_s) == expected, s
+        assert full_first.vec_at(s) == expected, s
         assert partial_first.trajectory_masks(s) == hits, s
         for t in range(params.ell + 1):
             support = truncated_diffusion(g, s, t, params.rho, exact=params.exact)
