@@ -265,8 +265,15 @@ def _free_set(g: BoundedDegreeGraph, spec: str) -> tuple[int, ...]:
         return tuple(range(g.n))
     if spec == "none":
         return ()
+    ids = []
     with open(spec, "r", encoding="utf-8") as fh:
-        return tuple(sorted(int(line) for line in fh if line.strip()))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                u = int(line)
+                if not 0 <= u < g.n:
+                    raise ValueError(f"{spec}:{lineno}: vertex {u} out of range [0, {g.n})")
+                ids.append(u)
+    return tuple(sorted(ids))
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -283,6 +290,8 @@ def cmd_census(args: argparse.Namespace) -> int:
         _emit_csv(report.rows, ("h", "k", "viable", "meets_quota"), args.out)
         print(f"summary: {json.dumps(report.summary, sort_keys=True)}", file=sys.stderr)
     elif args.kind == "leaky":
+        if not 0 <= args.source < g.n:
+            raise ValueError(f"source {args.source} out of range [0, {g.n})")
         report = leaky_census(g, ctx.params, args.source, free)
         _emit_csv(
             report.rows, ("s", "t", "leaking", "certificate_k", "conductance"), args.out

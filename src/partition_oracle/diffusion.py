@@ -103,11 +103,21 @@ class Diffuser:
         self.bound = max(bound, 0)  # lazy_step drops masses <= 0 as well
         self.tables = step_tables(g, exact)
 
-    def step(self, p: MassVector) -> MassVector:
+    def step(
+        self, p: MassVector, first_hit: dict[int, int] | None = None, t: int = 0
+    ) -> MassVector:
+        """One step; with ``first_hit``, maps each kept vertex not yet in it to ``t``.
+
+        The first hits are recorded only once the step has succeeded, so a
+        step that raises leaves them, like the scratch, as they were.
+        """
         adj, stay, closed, acc, edge_w, zero = self.tables
         bound = self.bound
         order = sorted(p)
         out: MassVector = {}
+        # Without first hits, test against ``out``: it holds every kept vertex.
+        seen = out if first_hit is None else first_hit
+        fresh: list[int] = []
         try:
             for u in order:
                 m = p[u]
@@ -120,9 +130,13 @@ class Diffuser:
                 acc[v] = zero
                 if x > bound:
                     out[v] = x
+                    if v not in seen:
+                        fresh.append(v)
         except BaseException:
             acc[:] = [zero] * len(acc)
             raise
+        if fresh:
+            first_hit.update(dict.fromkeys(fresh, t))
         return out
 
 

@@ -14,9 +14,21 @@ from typing import Iterable, Sequence
 # A VertexSet is a strictly increasing tuple of vertex ids in [0, n).
 VertexSet = tuple[int, ...]
 
+# A graph allocates one adjacency list per vertex before reading any edge;
+# vertex counts above this cap (about a gigabyte of lists) are rejected up
+# front, so a bad header cannot exhaust memory.
+MAX_VERTICES = 10_000_000
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed or invariant-violating graph input."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -40,8 +52,7 @@ class BoundedDegreeGraph:
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Iterable[tuple[int, int]]) -> "BoundedDegreeGraph":
-        if n < 0:
-            raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
+        _check_vertex_count(n)
         if d < 1:
             raise GraphFormatError(f"degree bound must be positive, got {d}")
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -110,6 +121,10 @@ def load_graph(path: str | Path) -> BoundedDegreeGraph:
             except ValueError:
                 raise GraphFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from None
             if header is None:
+                try:
+                    _check_vertex_count(a)
+                except GraphFormatError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
                 header = (a, b)
                 continue
             if not a < b:

@@ -282,8 +282,7 @@ class PartitionOracle:
             while step < t:
                 step += 1
                 if p:
-                    p = diffuse(p)
-                    first_hit.update(dict.fromkeys(p.keys() - first_hit.keys(), step))
+                    p = diffuse(p, first_hit, step)
                 if step == t_s:
                     walk[3] = p
             # A finished walk needs only its first hits.
@@ -533,14 +532,32 @@ class PartitionOracle:
         return anchor
 
     def find_partition(self, v: int) -> VertexSet:
-        """The full piece containing ``v``: BFS over same-anchor vertices."""
+        """The full piece containing ``v``: BFS over same-anchor vertices.
+
+        A neighbour ``w`` of a member ``u`` is asked for its anchor only if
+        both exact tests leave it possible: ``w`` lies in the cluster of the
+        anchor ``a``, and in no cluster of a seed that ``u``'s capture scan
+        passed before reaching ``a`` (such a seed precedes ``a`` and would
+        anchor ``w`` first).  So no incoming ball is built for a vertex that
+        cannot join the piece.  An anchor already found is compared at once:
+        on a warm engine the second test would cost more than it saves.
+        """
         a = self.find_anchor(v)
+        members = self._seed_set(a)
         piece = {v}
         stack = [v]
         while stack:
             u = stack.pop()
+            ball, cursor, _ = self._capture[u]
             for w in self.g.adjacency[u]:
-                if w not in piece and self.find_anchor(w) == a:
+                if w in piece or w not in members:
+                    continue
+                scan = self._capture.get(w)
+                if (scan is None or scan[2] is None) and any(
+                    w in self._seed_cluster[s] for s in ball[:cursor]  # built by the scan
+                ):
+                    continue
+                if self.find_anchor(w) == a:
                     piece.add(w)
                     stack.append(w)
         return tuple(sorted(piece))

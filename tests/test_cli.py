@@ -263,6 +263,31 @@ def test_good_seed_census_with_free_file(bridge_file, tmp_path):
     assert read_csv(out) == [{"good_seeds": "4"}]
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [["good-seed"], ["leaky", "--source", "0"], ["viability", "--phase", "1"]],
+    ids=["good-seed", "leaky", "viability"],
+)
+def test_census_rejects_free_ids_out_of_range(bridge_file, tmp_path, capsys, kind):
+    free = tmp_path / "free.txt"
+    free.write_text("0\n3\n8\n", encoding="utf-8")
+    out = tmp_path / "c.csv"
+    argv = (["census", "--graph", bridge_file, "--free", str(free), "--out", str(out),
+             "--kind"] + kind + set_args())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "free.txt:3: vertex 8 out of range [0, 8)" in err
+    assert not out.exists()
+
+
+def test_leaky_census_rejects_an_out_of_range_source(bridge_file, capsys):
+    argv = (["census", "--graph", bridge_file, "--kind", "leaky", "--source", "8"]
+            + set_args())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: source 8 out of range [0, 8)\n"
+
+
 def test_census_cap_requires_force(bridge_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "DEFAULT_CENSUS_CAP", 4)
     out = tmp_path / "c.csv"

@@ -214,16 +214,35 @@ def reference_walk(g, s, steps, rho, exact):
     return out
 
 
+class Poison:
+    """A mass whose comparison raises: a step on it fails in the gather."""
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __add__ = __radd__ = __mul__
+
+    def __gt__(self, other):
+        raise ArithmeticError("poisoned mass")
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_step_that_raises_leaves_the_scratch_zeroed(exact):
     """An out-of-range id raises partway through the push, after earlier
-    vertices have added their shares; the next step is still exact."""
+    vertices have added their shares; a poisoned mass raises partway
+    through the gather, after vertex 0 has been kept.  Either way the
+    scratch is zeroed, the first hits are as given, and the next step is
+    still exact."""
     g = gen_grid(4, 4)
     diffuser = Diffuser(g, 0.001, exact)
     one = Fraction(1) if exact else 1.0
-    with pytest.raises(IndexError):
-        diffuser.step({0: one, 5: one, g.n: one})
-    assert all(x == 0 for x in diffuser.tables[3])
+    for bad, error in (({0: one, 5: one, g.n: one}, IndexError),
+                       ({0: one, 5: Poison()}, ArithmeticError)):
+        hits = {5: 0}
+        with pytest.raises(error):
+            diffuser.step(bad, hits, 1)
+        assert hits == {5: 0}
+        assert all(x == 0 for x in diffuser.tables[3])
     p = {5: one}
     for got in reference_walk(g, 5, 6, 0.001, exact):
         p = diffuser.step(p)

@@ -16,6 +16,7 @@ from partition_oracle import (
     load_graph,
     save_graph,
 )
+from partition_oracle import graphs
 
 from conftest import BRIDGE_EDGES, bridge_graph, path_graph
 
@@ -62,6 +63,20 @@ def test_from_edges_rejects_bad_counts():
         BoundedDegreeGraph.from_edges(-1, 2, [])
     with pytest.raises(GraphFormatError):
         BoundedDegreeGraph.from_edges(3, 0, [])
+
+
+def test_vertex_count_cap_is_checked_before_allocating(tmp_path, monkeypatch):
+    """A header's n is checked against the cap before any adjacency list is
+    allocated.  The cap is lowered here, so even a missing check allocates
+    only a few lists."""
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+    assert BoundedDegreeGraph.from_edges(16, 2, []).n == 16
+    with pytest.raises(GraphFormatError, match="vertex count 17 exceeds the cap of 16"):
+        BoundedDegreeGraph.from_edges(17, 2, [])
+    path = tmp_path / "big.graph"
+    path.write_text("# header next\n17 2\n0 1\n", encoding="ascii")
+    with pytest.raises(GraphFormatError, match=r"big\.graph:2: vertex count 17 exceeds"):
+        load_graph(path)
 
 
 def test_single_vertex_graph():

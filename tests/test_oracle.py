@@ -342,17 +342,21 @@ def test_engines_on_one_graph_walk_in_turn_like_separate_runs():
             assert alone.trajectory_masks(s) == shared[i].trajectory_masks(s)
 
 
-def test_a_cold_query_reuses_the_graph_step_tables():
-    """A fresh engine on a graph with built tables builds nothing of size n:
-    it takes the graph's tables, and its own caches stay local."""
+def golden_grid50() -> tuple[BoundedDegreeGraph, SeedContext, PhaseThresholds]:
+    """The grid-50 config's graph and seed context, and its golden thresholds."""
     config = load_json(CONFIG_DIR / "partition_grid50.json")
     golden = load_json(DATA_DIR / "grid50_golden.json")
     g = gen_grid(50, 50)
     params = derive_params(
         config["eps"], g.d, config["mode"], oracle_overrides(config["overrides"])
     )
-    ctx = SeedContext(config["seed"], params)
-    thresholds = PhaseThresholds(tuple(golden["thresholds"]))
+    return g, SeedContext(config["seed"], params), PhaseThresholds(tuple(golden["thresholds"]))
+
+
+def test_a_cold_query_reuses_the_graph_step_tables():
+    """A fresh engine on a graph with built tables builds nothing of size n:
+    it takes the graph's tables, and its own caches stay local."""
+    g, ctx, thresholds = golden_grid50()
     first = PartitionOracle(g, ctx, thresholds)
     first.find_partition(0)
     derived = dict(g.derived)
@@ -367,3 +371,16 @@ def test_a_cold_query_reuses_the_graph_step_tables():
         if isinstance(value, (dict, list, tuple, set, frozenset))
     }
     assert max(sizes.values()) < g.n // 4, sizes
+
+
+def test_a_cold_query_walks_only_what_its_piece_needs():
+    """A cold query asks for the anchor of no neighbour that the anchor's
+    cluster, or an earlier seed's cluster, rules out.  Without that pruning
+    this query walks 249 sources and opens 42 capture scans."""
+    g, ctx, thresholds = golden_grid50()
+    cold = PartitionOracle(g, ctx, thresholds)
+    piece = cold.find_partition(1275)
+    assert len(cold._walks) <= 204
+    assert len(cold._capture) <= 25
+    reference = PartitionOracle(g, ctx, thresholds).global_partition()
+    assert piece == piece_map(g, reference)[1275]

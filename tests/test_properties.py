@@ -26,7 +26,7 @@ from partition_oracle import (
 )
 from partition_oracle.diffusion import Diffuser
 
-from conftest import brute_incoming_ball, desk_params
+from conftest import brute_incoming_ball, desk_params, piece_map
 
 # Each example runs the local findr on a graph of at most 36 vertices.
 # Shrinking is off: it reruns findr hundreds of times and a failure would
@@ -134,6 +134,23 @@ def test_capture_scan_answers_in_any_order(g, seed, data):
             assert local.find_anchor(u) == partition.anchors[u], u
         else:
             assert local.is_free(u, h) == (u in free_sets[h]), (u, h)
+
+
+@PROPERTY_SETTINGS
+@given(graphs, master_seeds)
+def test_a_cold_piece_query_opens_scans_only_inside_the_anchor_cluster(g, seed):
+    """A fresh engine given the thresholds returns each vertex's piece of the
+    global partition, and opens a capture scan only for the vertex and for
+    members of its anchor's cluster: the piece search rules out every other
+    neighbour without building its incoming ball."""
+    reference = engine(g, seed)
+    partition = reference.global_partition()
+    pieces = piece_map(g, partition)
+    for v in range(g.n):
+        local = PartitionOracle(g, reference.ctx, reference.thresholds())
+        assert local.find_partition(v) == pieces[v], v
+        cluster = reference.seed_cluster(partition.anchors[v])
+        assert set(local._capture) <= {v, *cluster}, v
 
 
 # -- the local findr's internals ----------------------------------------------
@@ -258,17 +275,24 @@ def exactly(p: dict) -> list:
 def test_fused_step_equals_the_reference_step(family, exact, data):
     """``Diffuser.step`` returns ``truncate(lazy_step(...))``: every value
     bit for bit, of the same type, under the same keys in the same order.
-    Checked at every step of a walk from every vertex, and on one signed
-    vector, where masses cancel and a bound <= 0 must still drop them."""
+    Checked at every step of a walk from every vertex, where the step also
+    records first hits, and on one signed vector, where masses cancel and
+    a bound <= 0 must still drop them."""
     g = data.draw(family)
     rho = data.draw(st.sampled_from([0.001, 0.02, 0.07, 0.2]))
     step = Diffuser(g, rho, exact).step
     one = Fraction(1) if exact else 1.0
     for s in range(g.n):
         p = {s: one}
+        hits = {s: 0}
+        expected_hits = dict(hits)
         for t in range(1, 13):
             expected = truncate(lazy_step(g, p, exact), rho, exact)
+            for v in expected:
+                expected_hits.setdefault(v, t)
             assert exactly(step(p)) == exactly(expected), (s, t)
+            assert exactly(step(p, hits, t)) == exactly(expected), (s, t)
+            assert hits == expected_hits, (s, t)
             p = expected
             if not p:
                 break
