@@ -6,9 +6,6 @@ enable (property testing, additive estimation), plus an analysis harness
 for structural measurements.
 """
 from .analysis import (
-    CensusReport,
-    CutReport,
-    DifferentialReport,
     differential_check,
     good_seed_census,
     leaky_census,
@@ -20,14 +17,11 @@ from .applications import (
     SCORERS,
     EstimatorConfig,
     TesterConfig,
-    estimate_additive,
     estimate_cut_fraction,
     run_estimator,
     run_tester,
-    test_property,
 )
 from .diffusion import (
-    LSCurve,
     conductance,
     cut_size,
     exact_number,
@@ -42,7 +36,6 @@ from .diffusion import (
 from .graphs import (
     BoundedDegreeGraph,
     GraphFormatError,
-    VertexSet,
     connected_components,
     gen_grid,
     gen_random_tree,
@@ -51,18 +44,10 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .oracle import (
-    OracleConfigError,
-    Partition,
-    PartitionOracle,
-    PhaseThresholds,
-    cluster,
-    find_ib,
-)
-from .params import OracleParams, ParamError, derive_params, params_to_dict
+from .oracle import Partition, PartitionOracle, PhaseThresholds, cluster
+from .params import OracleConfigError, ParamError, derive_params, params_to_dict
 from .seeds import SeedContext, geometric_from_uniform
 from .solvers import (
-    DEFAULT_SOLVER_CAP,
     SolverCapError,
     contains_subgraph,
     is_bipartite,
@@ -78,16 +63,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundedDegreeGraph",
-    "CensusReport",
-    "CutReport",
     "DECIDERS",
-    "DEFAULT_SOLVER_CAP",
-    "DifferentialReport",
     "EstimatorConfig",
     "GraphFormatError",
-    "LSCurve",
     "OracleConfigError",
-    "OracleParams",
     "ParamError",
     "Partition",
     "PartitionOracle",
@@ -96,7 +75,6 @@ __all__ = [
     "SeedContext",
     "SolverCapError",
     "TesterConfig",
-    "VertexSet",
     "cluster",
     "conductance",
     "connected_components",
@@ -104,10 +82,8 @@ __all__ = [
     "cut_size",
     "derive_params",
     "differential_check",
-    "estimate_additive",
     "estimate_cut_fraction",
     "exact_number",
-    "find_ib",
     "gen_grid",
     "gen_random_tree",
     "gen_triangulated_grid",
@@ -132,7 +108,6 @@ __all__ = [
     "run_estimator",
     "run_tester",
     "save_graph",
-    "test_property",
     "truncate",
     "truncated_diffusion",
     "two_coloring",

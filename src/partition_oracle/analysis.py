@@ -6,21 +6,14 @@ against — so they are desk-scale tools by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .diffusion import Diffuser, exact_number
 from .graphs import BoundedDegreeGraph, VertexSet
-from .oracle import (
-    Partition,
-    PartitionOracle,
-    PhaseThresholds,
-    SweepScan,
-    check_candidate_count,
-    ensure_desk_scale,
-)
-from .params import OracleParams
+from .oracle import Partition, PartitionOracle, PhaseThresholds, SweepScan
+from .params import OracleParams, check_desk_scale
 from .seeds import SeedContext
 
 
@@ -101,7 +94,6 @@ def viability_census(
     h: int,
     F: VertexSet,
     k_range: Iterable[int],
-    engine: PartitionOracle | None = None,
 ) -> CensusReport:
     """Replay the threshold search at phase ``h`` against an explicit free set.
 
@@ -109,9 +101,11 @@ def viability_census(
     argmax tie-break as the search itself, so with ``F`` equal to the true
     free set the reported choice is bit-identical to the chosen threshold.
     """
-    if engine is None:
-        engine = PartitionOracle(g, ctx)
-    check_candidate_count(k_range)
+    if not 1 <= h <= ctx.params.h_bar:
+        raise ValueError(f"phase {h} outside [1, {ctx.params.h_bar}]")
+    engine = PartitionOracle(g, ctx)
+    # The census scans k_range in place of the bundle's candidates.
+    check_desk_scale(replace(ctx.params, k_candidates=k_range))
     ks = tuple(k_range)
     summary, counts = engine.threshold_search(
         h, frozenset(F).__contains__, ks, count_when_gated=True
@@ -135,7 +129,7 @@ def leaky_census(
     conductance below 1/(d * ell^(1/3)); the smallest such k is recorded as
     the certificate.
     """
-    ensure_desk_scale(params)
+    check_desk_scale(params)
     free = frozenset(F)
     exact = params.exact
     alpha_sq = exact_number(params.alpha) ** 2
@@ -192,7 +186,7 @@ def good_seed_census(
     """
     if not F:
         raise ValueError("the free set must contain at least one vertex")
-    ensure_desk_scale(params)
+    check_desk_scale(params)
     free = frozenset(F)
     exact = params.exact
     beta = exact_number(params.beta)
@@ -217,19 +211,15 @@ def differential_check(
     g: BoundedDegreeGraph,
     ctx: SeedContext,
     thresholds: PhaseThresholds | None = None,
-    local_fn: Callable[[int], VertexSet] | None = None,
 ) -> DifferentialReport:
     """Audit that a separate local engine reproduces the global partition.
 
     Without given ``thresholds`` each side chooses its own, and every phase
     whose thresholds differ is a divergence, reported ahead of any vertex.
-    Tests inject a wrong ``local_fn`` to prove the audit can fail.
     """
     reference_engine = PartitionOracle(g, ctx, thresholds)
     reference = reference_engine.global_partition()
     local = PartitionOracle(g, ctx, thresholds)
-    if local_fn is None:
-        local_fn = local.find_partition
 
     divergences = 0
     first: dict | None = None
@@ -243,7 +233,7 @@ def differential_check(
     piece_of = {u: tuple(piece) for piece in reference.pieces(g) for u in piece}
     for v in range(g.n):
         expected = piece_of[v]
-        got = tuple(local_fn(v))
+        got = local.find_partition(v)
         if got != expected:
             divergences += 1
             if first is None:

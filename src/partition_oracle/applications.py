@@ -64,7 +64,9 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
     if raw:
         for key, value in raw.items():
             if key == "k_max":
-                out["k_candidates"] = range(1, int(value) + 1)
+                if not isinstance(value, int):
+                    raise ValueError(f"k_max expects an integer, got {value!r}")
+                out["k_candidates"] = range(1, value + 1)
             elif key == "exact":
                 if not isinstance(value, (int, float)):
                     raise ValueError(f"exact expects a number, got {value!r}")
@@ -145,13 +147,11 @@ def estimate_cut_fraction(
     ctx: SeedContext,
     thresholds: PhaseThresholds | None = None,
     samples: int = 1000,
-    engine: PartitionOracle | None = None,
 ) -> float:
     """Sampled estimate of the fraction of (vertex, incident-edge) draws cut."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if engine is None:
-        engine = PartitionOracle(g, ctx, thresholds)
+    engine = PartitionOracle(g, ctx, thresholds)
     return _cut_probe_hits(engine, ctx, samples) / samples
 
 
@@ -228,19 +228,6 @@ def run_tester(
     return detail
 
 
-def test_property(
-    g: BoundedDegreeGraph,
-    epsilon: float,
-    decider: ComponentDecider,
-    trials: int | None = None,
-    master_seed: int = 0,
-    config: TesterConfig | None = None,
-) -> bool:
-    """True to accept, False to reject."""
-    detail = run_tester(g, epsilon, decider, trials, master_seed, config)
-    return detail["verdict"] == "accept"
-
-
 def run_estimator(
     g: BoundedDegreeGraph,
     epsilon: float,
@@ -294,15 +281,3 @@ def run_estimator(
         "samples": samples,
         "seed": master_seed,
     }
-
-
-def estimate_additive(
-    g: BoundedDegreeGraph,
-    epsilon: float,
-    scorer: ComponentScorer,
-    samples: int | None,
-    master_seed: int = 0,
-    config: EstimatorConfig | None = None,
-) -> float:
-    """The additive-score estimate alone (see run_estimator)."""
-    return run_estimator(g, epsilon, scorer, samples, master_seed, config)["estimate"]

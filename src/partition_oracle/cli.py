@@ -41,8 +41,8 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .oracle import OracleConfigError, Partition, PartitionOracle
-from .params import ParamError, derive_params, params_to_dict
+from .oracle import Partition, PartitionOracle
+from .params import OracleConfigError, ParamError, derive_params, params_to_dict
 from .seeds import SeedContext
 from .solvers import SolverCapError
 
@@ -321,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    def common(p: argparse.ArgumentParser, eps_default: float = 0.1) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--graph", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=eps_default)
+        p.add_argument("--eps", type=float, default=0.1)
         p.add_argument("--mode", choices=("paper", "explicit"), default="explicit")
         p.add_argument("--set", action="append", metavar="KEY=VAL",
                        help="parameter override (k_max expands to k_candidates)")

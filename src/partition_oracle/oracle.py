@@ -25,21 +25,8 @@ from .diffusion import (
     truncated_diffusion,
 )
 from .graphs import BoundedDegreeGraph, VertexSet, connected_components
-from .params import (
-    MAX_FINDR_PHASES,
-    MAX_FINDR_SAMPLES,
-    MAX_K_CANDIDATES,
-    OracleParams,
-)
+from .params import OracleParams, check_desk_scale
 from .seeds import SeedContext
-
-# Trajectory loops run ell steps; formula-mode ell is astronomically large,
-# so desk-scale entry points refuse rather than never terminate.
-MAX_DESK_ELL = 1_000_000
-
-
-class OracleConfigError(RuntimeError):
-    """Raised when a configuration is infeasible to execute at desk scale."""
 
 
 @dataclass(frozen=True)
@@ -211,29 +198,14 @@ def _frontier_ib(
     return tuple(sorted(member))
 
 
-def check_candidate_count(ks: Sequence[int]) -> None:
-    # len() overflows on the astronomically long ranges of formula mode.
-    n = max(0, (ks.stop - ks.start + ks.step - 1) // ks.step) if isinstance(ks, range) else len(ks)
-    if n > MAX_K_CANDIDATES:
-        raise OracleConfigError(f"{n} size-threshold candidates is beyond desk scale")
-
-
-def ensure_desk_scale(params: OracleParams) -> None:
-    if params.ell > MAX_DESK_ELL:
-        raise OracleConfigError(
-            f"walk-length cap ell={params.ell} is beyond desk scale; "
-            "use explicit parameters"
-        )
-
-
 class PartitionOracle:
     """Shared engine behind both the local query path and the global run.
 
     Thresholds are computed once per (graph, seed, params): lazily by the
     local findr, or phase by phase inside the global pass, whichever runs
-    first.  The walk-length cap and the phase count are checked against
-    desk scale when the engine is built.  An engine is not safe to share
-    between threads.
+    first.  The bundle is checked against desk scale when the engine is
+    built, and given thresholds must cover exactly h_bar phases.  An engine
+    is not safe to share between threads.
     """
 
     def __init__(
@@ -242,10 +214,10 @@ class PartitionOracle:
         ctx: SeedContext,
         thresholds: PhaseThresholds | None = None,
     ):
-        ensure_desk_scale(ctx.params)
-        if ctx.params.h_bar > MAX_FINDR_PHASES:
-            raise OracleConfigError(
-                f"h_bar={ctx.params.h_bar} phases is beyond desk scale"
+        check_desk_scale(ctx.params)
+        if thresholds is not None and len(thresholds.k) != ctx.params.h_bar:
+            raise ValueError(
+                f"thresholds cover {len(thresholds.k)} phases, expected h_bar={ctx.params.h_bar}"
             )
         self.g = g
         self.ctx = ctx
@@ -352,14 +324,6 @@ class PartitionOracle:
         free_members = sum(1 for u in c if free_test(u))
         return Fraction(free_members) >= self._beta ** 3 * k
 
-    def _check_findr_scale(self) -> None:
-        params = self.params
-        if params.sample_count > MAX_FINDR_SAMPLES:
-            raise OracleConfigError(
-                f"sample_count={params.sample_count} is beyond desk scale"
-            )
-        check_candidate_count(params.k_candidates)
-
     def viable_flags(
         self, s: int, ks: Sequence[int], free_test: Callable[[int], bool]
     ) -> list[bool]:
@@ -454,7 +418,6 @@ class PartitionOracle:
 
     def _compute_thresholds(self) -> PhaseThresholds:
         """The local findr: each free test is an incoming-ball search."""
-        self._check_findr_scale()
         ks: list[int] = []
         self._ks = ks
         for h in range(1, self.params.h_bar):
@@ -583,7 +546,6 @@ class PartitionOracle:
         h_bar = self.params.h_bar
         search = self._thresholds is None
         if search:
-            self._check_findr_scale()
             self._ks = []
         seeds_of: list[list[int]] = [[] for _ in range(h_bar + 1)]
         for v in range(n):
@@ -605,8 +567,3 @@ class PartitionOracle:
         if search:
             self._thresholds = PhaseThresholds(tuple(self._ks))
         return Partition(anchors=tuple(anchors))
-
-
-def find_ib(g: BoundedDegreeGraph, params: OracleParams, v: int) -> VertexSet:
-    """Standalone incoming-ball computation; the ball ignores the seed."""
-    return PartitionOracle(g, SeedContext(0, params)).find_ib(v)

@@ -20,9 +20,10 @@ Number = Union[int, float, Fraction]
 PAPER_MODE = "paper"
 EXPLICIT_MODE = "explicit"
 
-# findr is a sampling procedure; in formula mode its sample sizes are
-# astronomically large, so runs whose work budget exceeds these caps are
-# rejected up front instead of silently never terminating.
+# Formula-mode walk lengths, phase counts and findr sample sizes are
+# astronomically large, so bundles beyond these caps are refused up front
+# instead of silently never terminating.
+MAX_DESK_ELL = 1_000_000
 MAX_FINDR_PHASES = 1_000_000
 MAX_FINDR_SAMPLES = 10_000_000
 MAX_K_CANDIDATES = 1_000_000
@@ -30,6 +31,10 @@ MAX_K_CANDIDATES = 1_000_000
 
 class ParamError(ValueError):
     """Raised when a parameter bundle violates its invariants."""
+
+
+class OracleConfigError(RuntimeError):
+    """Raised when a configuration is infeasible to execute at desk scale."""
 
 
 def _pow(base: Fraction, exp: int) -> Fraction:
@@ -78,6 +83,10 @@ class OracleParams:
         return math.floor(1 / exact_number(self.rho))
 
     def validate(self) -> None:
+        for name in ("ell", "h_bar", "sample_count", "keep_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ParamError(f"{name} must be an integer, got {value!r}")
         eps = exact_number(self.epsilon)
         if not 0 < eps < 1:
             raise ParamError(f"epsilon must be in (0,1), got {self.epsilon}")
@@ -139,6 +148,26 @@ class OracleParams:
                 raise ParamError(
                     f"formula-mode field {name}={actual} does not match its formula value"
                 )
+
+
+def check_desk_scale(params: OracleParams) -> None:
+    """Refuse a bundle whose walks, phases or findr samples are beyond desk scale."""
+    if params.ell > MAX_DESK_ELL:
+        raise OracleConfigError(
+            f"walk-length cap ell={params.ell} is beyond desk scale; "
+            "use explicit parameters"
+        )
+    if params.h_bar > MAX_FINDR_PHASES:
+        raise OracleConfigError(f"h_bar={params.h_bar} phases is beyond desk scale")
+    if params.sample_count > MAX_FINDR_SAMPLES:
+        raise OracleConfigError(
+            f"sample_count={params.sample_count} is beyond desk scale"
+        )
+    ks = params.k_candidates
+    # len() overflows on the astronomically long ranges of formula mode.
+    n = max(0, -((ks.start - ks.stop) // ks.step)) if isinstance(ks, range) else len(ks)
+    if n > MAX_K_CANDIDATES:
+        raise OracleConfigError(f"{n} size-threshold candidates is beyond desk scale")
 
 
 _FIELD_ORDER = (

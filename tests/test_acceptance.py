@@ -19,7 +19,6 @@ from partition_oracle import (
     cluster,
     conductance,
     derive_params,
-    estimate_additive,
     gen_grid,
     gen_random_tree,
     gen_triangulated_grid,
@@ -29,6 +28,8 @@ from partition_oracle import (
     ls_curve,
     maximum_matching,
     measure_cut,
+    run_estimator,
+    run_tester,
     truncate,
     truncated_diffusion,
 )
@@ -311,8 +312,8 @@ def test_criterion_09_matching_estimates_land_within_a_tenth_of_n():
     path = path_graph(2000)
     path_hits = sum(
         1 for seed in range(10)
-        if abs(estimate_additive(path, EPS, maximum_matching, 800,
-                                 master_seed=seed, config=config) - 1000) <= 200
+        if abs(run_estimator(path, EPS, maximum_matching, 800,
+                             master_seed=seed, config=config)["estimate"] - 1000) <= 200
     )
 
     grid = gen_grid(20, 20)
@@ -320,8 +321,8 @@ def test_criterion_09_matching_estimates_land_within_a_tenth_of_n():
     assert exact == 200
     grid_hits = sum(
         1 for seed in range(10)
-        if abs(estimate_additive(grid, EPS, maximum_matching, 1000,
-                                 master_seed=seed, config=config) - exact) <= 40
+        if abs(run_estimator(grid, EPS, maximum_matching, 1000,
+                             master_seed=seed, config=config)["estimate"] - exact) <= 40
     )
 
     elapsed = time.perf_counter() - started
@@ -340,13 +341,13 @@ def test_criterion_10_tester_separates_grid_from_triangulated_grid():
     tri = gen_triangulated_grid(30, 30)
     accepts = sum(
         1 for seed in range(10)
-        if po.test_property(grid, EPS, po.DECIDERS["bipartite"],
-                            master_seed=seed, config=config)
+        if run_tester(grid, EPS, po.DECIDERS["bipartite"],
+                      master_seed=seed, config=config)["verdict"] == "accept"
     )
     rejects = sum(
         1 for seed in range(10)
-        if not po.test_property(tri, EPS, po.DECIDERS["bipartite"],
-                                master_seed=seed, config=config)
+        if run_tester(tri, EPS, po.DECIDERS["bipartite"],
+                      master_seed=seed, config=config)["verdict"] != "accept"
     )
     elapsed = time.perf_counter() - started
     assert accepts >= 9, f"grid-30x30: only {accepts}/10 accepted"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from partition_oracle import (
+    OracleConfigError,
     Partition,
     PartitionOracle,
     PhaseThresholds,
@@ -103,6 +104,20 @@ def test_good_seed_census_is_monotone_in_the_free_set():
     small = good_seed_census(g, params, (0, 1))
     large = good_seed_census(g, params, tuple(range(8)))
     assert small <= large
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [({"sample_count": 10**8}, "sample_count="),
+     ({"k_candidates": range(1, 10**7)}, "size-threshold candidates")],
+)
+def test_censuses_refuse_findr_sizes_beyond_desk_scale(over, message):
+    g = cycle_graph(8)
+    params = desk_params(2, rho=1e-8, **over)
+    with pytest.raises(OracleConfigError, match=message):
+        leaky_census(g, params, 0, ())
+    with pytest.raises(OracleConfigError, match=message):
+        good_seed_census(g, params, (0,))
 
 
 def test_good_seed_census_rejects_empty_free_set():
@@ -234,7 +249,7 @@ def test_viability_census_counts_every_candidate_when_gated(bridge):
     ]
     assert gated
     for h in gated:
-        report = viability_census(bridge, ctx, h, free, range(0, 8), engine)
+        report = viability_census(bridge, ctx, h, free, range(0, 8))
         kept = [s for s in engine.phase_sample(h) if ctx.phase_of(s) >= h]
         kept = kept[: ctx.params.keep_count]
         assert report.summary["chosen_k"] == 0
@@ -242,6 +257,12 @@ def test_viability_census_counts_every_candidate_when_gated(bridge):
             sum(engine.viable(s, h, k, set(free).__contains__) for s in kept)
             for k in range(0, 8)
         ]
+
+
+@pytest.mark.parametrize("h", [0, 11])
+def test_viability_census_refuses_a_phase_outside_h_bar(bridge, h):
+    with pytest.raises(ValueError, match=r"phase .* outside \[1, 10\]"):
+        viability_census(bridge, desk_context(bridge), h, (), range(1, 6))
 
 
 # ----------------------------------------------------------- differential
@@ -254,10 +275,9 @@ def test_differential_check_passes_on_the_bridge(bridge):
     assert report.first_divergence is None
 
 
-def test_differential_check_catches_an_injected_fault(bridge):
-    report = differential_check(
-        bridge, desk_context(bridge), local_fn=lambda v: (v,)
-    )
+def test_differential_check_catches_an_injected_fault(bridge, monkeypatch):
+    monkeypatch.setattr(PartitionOracle, "find_partition", lambda self, v: (v,))
+    report = differential_check(bridge, desk_context(bridge))
     assert not report.ok
     assert report.divergences > 0
     first = report.first_divergence

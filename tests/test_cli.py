@@ -133,6 +133,22 @@ def test_partition_paper_mode_is_rejected_at_desk_scale(bridge_file, capsys):
     assert "beyond desk scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("ell=20.5", "ell must be an integer, got 20.5"),
+        ("h_bar=10.5", "h_bar must be an integer, got 10.5"),
+        ("sample_count=200.5", "sample_count must be an integer, got 200.5"),
+        ("keep_count=2.5", "keep_count must be an integer, got 2.5"),
+        ("k_max=7.9", "k_max expects an integer, got 7.9"),
+    ],
+)
+def test_non_integer_settings_exit_one(bridge_file, capsys, setting, message):
+    argv = ["query", "--graph", bridge_file, "0"] + set_args() + ["--set", setting]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_partition_missing_graph_exits_one(tmp_path, capsys):
     assert main(["partition", "--graph", str(tmp_path / "nope.graph")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -240,6 +256,16 @@ def test_viability_census_csv(bridge_file, tmp_path, capsys):
     rows = read_csv(out)
     assert [row["k"] for row in rows] == [str(k) for k in range(1, 51)]
     assert '"chosen_k": 4' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phase", ["0", "11"])
+def test_viability_census_rejects_a_phase_outside_h_bar(bridge_file, tmp_path, capsys, phase):
+    out = tmp_path / "viability.csv"
+    argv = (["census", "--graph", bridge_file, "--kind", "viability",
+             "--phase", phase, "--out", str(out)] + set_args())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: phase {phase} outside [1, 10]\n"
+    assert not out.exists()
 
 
 def test_leaky_census_with_no_free_set_always_leaks(bridge_file, tmp_path):

@@ -14,12 +14,11 @@ from partition_oracle import (
     SeedContext,
     conductance,
     derive_params,
-    find_ib,
     gen_grid,
     truncated_diffusion,
 )
 from partition_oracle.applications import oracle_overrides
-from partition_oracle.oracle import OracleConfigError, ensure_desk_scale
+from partition_oracle.params import OracleConfigError, check_desk_scale
 
 from conftest import (
     CONFIG_DIR,
@@ -146,30 +145,32 @@ def test_engine_cluster_at_matches_module_cluster():
 
 def test_find_ib_on_an_edge():
     g = BoundedDegreeGraph.from_edges(2, 2, [(0, 1)])
-    params = desk_params(g.d)
-    assert find_ib(g, params, 0) == (0, 1)
-    assert find_ib(g, params, 1) == (0, 1)
+    engine = PartitionOracle(g, SeedContext(0, desk_params(g.d)))
+    assert engine.find_ib(0) == (0, 1)
+    assert engine.find_ib(1) == (0, 1)
 
 
 def test_find_ib_contains_the_center():
     g = bridge_graph()
-    params = desk_params(g.d)
+    engine = PartitionOracle(g, SeedContext(0, desk_params(g.d)))
     for v in range(g.n):
-        assert v in find_ib(g, params, v)
+        assert v in engine.find_ib(v)
 
 
 def test_find_ib_matches_brute_enumeration_on_bridge():
     g = bridge_graph()
     params = desk_params(g.d)
+    engine = PartitionOracle(g, SeedContext(0, params))
     for v in range(g.n):
-        assert find_ib(g, params, v) == brute_incoming_ball(g, params, v)
+        assert engine.find_ib(v) == brute_incoming_ball(g, params, v)
 
 
-def test_engine_find_ib_matches_module_find_ib(bridge):
+def test_find_ib_ignores_the_master_seed(bridge):
     ctx = desk_context(bridge)
     engine = PartitionOracle(bridge, ctx)
+    seed_zero = PartitionOracle(bridge, SeedContext(0, ctx.params))
     for v in range(bridge.n):
-        assert engine.find_ib(v) == find_ib(bridge, ctx.params, v)
+        assert engine.find_ib(v) == seed_zero.find_ib(v)
 
 
 # --------------------------------------------------------------------- findr
@@ -301,8 +302,8 @@ def test_desk_scale_guard_rejects_formula_walk_lengths():
 
     paper = derive_params(0.5, 2, "paper")
     with pytest.raises(OracleConfigError, match="beyond desk scale"):
-        ensure_desk_scale(paper)
-    ensure_desk_scale(desk_params(3))
+        check_desk_scale(paper)
+    check_desk_scale(desk_params(3))
 
 
 def test_engine_refuses_formula_parameters_when_built(bridge):
@@ -313,6 +314,18 @@ def test_engine_refuses_formula_parameters_when_built(bridge):
         PartitionOracle(bridge, SeedContext(0, paper), PhaseThresholds((0,)))
     with pytest.raises(OracleConfigError, match="h_bar="):
         PartitionOracle(bridge, desk_context(bridge, h_bar=10**7), PhaseThresholds((0,)))
+
+
+@pytest.mark.parametrize("phases", [3, 13])
+def test_engine_refuses_thresholds_that_do_not_cover_h_bar(bridge, phases):
+    with pytest.raises(ValueError, match="thresholds cover"):
+        PartitionOracle(bridge, desk_context(bridge), PhaseThresholds((0,) * phases))
+
+
+def test_engine_given_thresholds_refuses_findr_samples_beyond_desk_scale(bridge):
+    ctx = desk_context(bridge, sample_count=10**8)
+    with pytest.raises(OracleConfigError, match="sample_count="):
+        PartitionOracle(bridge, ctx, PhaseThresholds((0,) * 10))
 
 
 # ------------------------------------------------------- shared step tables

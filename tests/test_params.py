@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from partition_oracle import ParamError, derive_params, params_to_dict
-from partition_oracle.oracle import MAX_DESK_ELL, OracleConfigError, ensure_desk_scale
+from partition_oracle.params import MAX_DESK_ELL, OracleConfigError, check_desk_scale
 
 from conftest import DESK_OVERRIDES, desk_params
 
@@ -71,11 +71,24 @@ def test_paper_mode_values_are_beyond_desk_scale():
     p = derive_params(0.5, 2, "paper")
     assert p.ell > MAX_DESK_ELL
     with pytest.raises(OracleConfigError, match="beyond desk scale"):
-        ensure_desk_scale(p)
+        check_desk_scale(p)
 
 
 def test_desk_scale_accepts_explicit_bundle():
-    ensure_desk_scale(desk_params(3))
+    check_desk_scale(desk_params(3))
+
+
+def test_desk_scale_counts_a_descending_candidate_range_exactly():
+    check_desk_scale(desk_params(3, rho=1e-7, k_candidates=range(10**6, 0, -1)))
+    over = desk_params(3, rho=1e-7, k_candidates=range(10**6 + 1, 0, -1))
+    with pytest.raises(OracleConfigError, match="^1000001 size-threshold candidates"):
+        check_desk_scale(over)
+
+
+@pytest.mark.parametrize("name", ["ell", "h_bar", "sample_count", "keep_count"])
+def test_integer_fields_refuse_non_integers(name):
+    with pytest.raises(ParamError, match=f"{name} must be an integer"):
+        desk_params(3, **{name: 10.5})
 
 
 def test_unknown_override_is_rejected():
