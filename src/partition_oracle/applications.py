@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 from .diffusion import exact_number
 from .graphs import BoundedDegreeGraph, VertexSet, induced_edges
 from .oracle import PartitionOracle, PhaseThresholds
-from .params import OracleParams, derive_params
+from .params import OracleParams, derive_params, is_integer
 from .seeds import SeedContext, check_master_seed
 from .solvers import (
     DEFAULT_SOLVER_CAP,
@@ -81,9 +81,23 @@ class _ConfigFile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"a {cls.kind} config must be a JSON object, got {type(data).__name__}"
+            )
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown {cls.kind} config keys: {sorted(unknown)}")
+        for name in ("retries", "phase1_probes", "phase2_samples", "solver_cap"):
+            if name not in data:
+                continue
+            value = data[name]
+            # The phase sizes default to null: computed from epsilon.
+            if not is_integer(value) and (value is not None or getattr(cls, name) is not None):
+                raise ValueError(f"{name} expects an integer, got {value!r}")
+        overrides = data.get("overrides")
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise ValueError(f"overrides expects an object or null, got {overrides!r}")
         return cls(**data)
 
     @classmethod

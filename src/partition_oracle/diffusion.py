@@ -77,11 +77,12 @@ def truncate(p: MassVector, rho: Mass, exact: bool = False) -> MassVector:
 
 def step_tables(g: BoundedDegreeGraph, exact: bool) -> tuple:
     """:class:`Diffuser`'s tables for one mode, built once into ``g.derived``: adjacency,
-    stay factors (one per degree), closed neighborhoods, dense scratch, edge weight, zero."""
+    stay factors (one shared per degree present), closed neighborhoods, dense scratch,
+    edge weight, zero."""
     key = ("step", exact)
     if key not in g.derived:
         edge_w = Fraction(1, 2 * g.d) if exact else 1.0 / (2 * g.d)
-        stay = [1 - deg * edge_w for deg in range(g.d + 1)]
+        stay = {deg: 1 - deg * edge_w for deg in set(map(len, g.adjacency))}
         zero = 0 if exact else 0.0
         g.derived[key] = (g.adjacency, [stay[len(a)] for a in g.adjacency],
                           [(u,) + a for u, a in enumerate(g.adjacency)], [zero] * g.n,
@@ -103,21 +104,16 @@ class Diffuser:
         self.bound = max(bound, 0)  # lazy_step drops masses <= 0 as well
         self.tables = step_tables(g, exact)
 
-    def step(
-        self, p: MassVector, first_hit: dict[int, int] | None = None, t: int = 0
-    ) -> MassVector:
-        """One step; with ``first_hit``, maps each kept vertex not yet in it to ``t``.
+    def step(self, p: MassVector, reached: set[int] | None = None) -> MassVector:
+        """One step; with ``reached``, adds each kept vertex to it.
 
-        The first hits are recorded only once the step has succeeded, so a
-        step that raises leaves them, like the scratch, as they were.
+        The set grows only once the step has succeeded, so a step that
+        raises leaves it, like the scratch, as it was.
         """
         adj, stay, closed, acc, edge_w, zero = self.tables
         bound = self.bound
         order = sorted(p)
         out: MassVector = {}
-        # Without first hits, test against ``out``: it holds every kept vertex.
-        seen = out if first_hit is None else first_hit
-        fresh: list[int] = []
         try:
             for u in order:
                 m = p[u]
@@ -130,13 +126,13 @@ class Diffuser:
                 acc[v] = zero
                 if x > bound:
                     out[v] = x
-                    if v not in seen:
-                        fresh.append(v)
         except BaseException:
             acc[:] = [zero] * len(acc)
             raise
-        if fresh:
-            first_hit.update(dict.fromkeys(fresh, t))
+        if reached is not None:
+            # Only the new vertices: a set updated with all of ``out`` reserves
+            # room for every key and ends up about twice as large.
+            reached.update(out.keys() - reached)
         return out
 
 

@@ -25,7 +25,7 @@ from .diffusion import (
     truncated_diffusion,
 )
 from .graphs import BoundedDegreeGraph, VertexSet, connected_components
-from .params import OracleParams, check_desk_scale
+from .params import OracleParams, check_desk_scale, is_integer
 from .seeds import SeedContext
 
 
@@ -38,6 +38,8 @@ class PhaseThresholds:
     def __post_init__(self) -> None:
         if not self.k:
             raise ValueError("thresholds must cover at least one phase")
+        if not all(map(is_integer, self.k)):
+            raise ValueError(f"size thresholds must be integers, got {self.k}")
         if self.k[-1] != 0:
             raise ValueError("the final-phase threshold must be 0")
         if any(x < 0 for x in self.k):
@@ -162,42 +164,6 @@ def cluster(
     return SweepScan(g, vec, v).cluster(exact_number(params.phi), k)
 
 
-def _frontier_ib(
-    g: BoundedDegreeGraph,
-    ell: int,
-    v: int,
-    first_hits_of: Callable[[int], dict[int, int]],
-) -> VertexSet:
-    """Grow the incoming ball of ``v`` by frontier expansion.
-
-    Round ``t`` admits any pool vertex ``w`` (pool = members plus their
-    neighbors, fixed when the round starts) whose truncated diffusion first
-    puts mass on ``v`` at some step ``fh <= t``.  Only the members admitted
-    in the last round bring new vertices into the pool; a pooled vertex
-    with ``fh > t`` waits for round ``fh``.
-    """
-    member = {v}
-    seen = {v}
-    waiting: dict[int, int] = {}
-    admitted = [v]
-    for t in range(1, ell + 1):
-        fresh = {w for u in admitted for w in g.adjacency[u]} - seen
-        seen |= fresh
-        admitted = [w for w, fh in waiting.items() if fh <= t]
-        for w in admitted:
-            del waiting[w]
-        for w in fresh:
-            fh = first_hits_of(w).get(v, -1)
-            if 0 <= fh <= t:
-                admitted.append(w)
-            elif fh > t:
-                waiting[w] = fh
-        member.update(admitted)
-        if not admitted and not waiting:
-            break
-    return tuple(sorted(member))
-
-
 class PartitionOracle:
     """Shared engine behind both the local query path and the global run.
 
@@ -227,7 +193,7 @@ class PartitionOracle:
         self._thresholds = thresholds
         self._ks: list[int] | None = list(thresholds.k) if thresholds else None
         self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
-        # Per source: [step, vector at step, first hits, vector at t_s].
+        # Per source: [step, vector at step, reach set, vector at t_s].
         self._walks: dict[int, list] = {}
         self._scans: dict[int, SweepScan] = {}
         # Per seed: its cluster at t_s and k_{h_s}.
@@ -240,33 +206,33 @@ class PartitionOracle:
     def _walk_to(self, s: int, t: int) -> list:
         """Advance the truncated diffusion from ``s`` to step ``t``.
 
-        Each vertex's first step in the support is recorded as the walk
-        passes it, and the vector at ``t_s`` is kept for ``vec_at``.
+        Each vertex the walk reaches is recorded as it passes, and the
+        vector at ``t_s`` is kept for ``vec_at``.
         """
         walk = self._walks.get(s)
         if walk is None:
-            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s: 0}, None]
+            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s}, None]
             self._walks[s] = walk
-        step, p, first_hit, _ = walk
+        step, p, reached, _ = walk
         if step < t:
             diffuse = self._diffuser.step
             t_s = self.ctx.walk_len_of(s)
             while step < t:
                 step += 1
                 if p:
-                    p = diffuse(p, first_hit, step)
+                    p = diffuse(p, reached)
                 if step == t_s:
                     walk[3] = p
-            # A finished walk needs only its first hits.
+            # A finished walk needs only its reach set.
             walk[0], walk[1] = step, p if step < self.params.ell else None
         return walk
 
-    def trajectory_masks(self, w: int) -> dict[int, int]:
-        """First-hit steps of the truncated diffusion from ``w``, t=0..ell.
+    def trajectory_masks(self, w: int) -> set[int]:
+        """The reach set of the truncated diffusion from ``w``: every vertex
+        in its support at some step t = 0..ell.
 
-        Maps each vertex the walk ever reaches to the first step at which
-        it is in the support.  (The name predates first-hit times and is
-        kept: ``bench/tracing.py`` wraps it.)
+        (The name predates reach sets and is kept: ``bench/tracing.py``
+        wraps it.)
         """
         walk = self._walks.get(w)
         if walk is None or walk[0] < self.params.ell:
@@ -439,8 +405,21 @@ class PartitionOracle:
         return c
 
     def find_ib(self, v: int) -> VertexSet:
-        """All vertices whose truncated diffusion ever puts mass on ``v``."""
-        return _frontier_ib(self.g, self.params.ell, v, self.trajectory_masks)
+        """All vertices whose truncated diffusion ever puts mass on ``v``.
+
+        A search from ``v``: each neighbour of a member is admitted exactly
+        when ``v`` is in its reach set, and the search stops when no
+        admitted member is left to expand.
+        """
+        seen = {v}
+        ball = [v]
+        for u in ball:
+            for w in self.g.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    if v in self.trajectory_masks(w):
+                        ball.append(w)
+        return tuple(sorted(ball))
 
     def _capturer(self, u: int, h: int) -> int | None:
         """Resume the capture scan of ``u`` through the seeds of phases < ``h``.

@@ -37,6 +37,11 @@ class OracleConfigError(RuntimeError):
     """Raised when a configuration is infeasible to execute at desk scale."""
 
 
+def is_integer(x: object) -> bool:
+    """Whether ``x`` is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _pow(base: Fraction, exp: int) -> Fraction:
     return base ** exp if exp >= 0 else (1 / base) ** (-exp)
 
@@ -120,6 +125,10 @@ class OracleParams:
             if lo < 1 or hi > cap:
                 raise ParamError(f"k_candidates must lie in [1, {cap}], got range {ks}")
         else:
+            if not isinstance(ks, (list, tuple)) or not all(map(is_integer, ks)):
+                raise ParamError(
+                    f"k_candidates must be a range, list or tuple of integers, got {ks!r}"
+                )
             if not ks:
                 raise ParamError("k_candidates must be non-empty")
             for k in ks:

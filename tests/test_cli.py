@@ -141,6 +141,12 @@ def test_partition_paper_mode_is_rejected_at_desk_scale(bridge_file, capsys):
         ("sample_count=200.5", "sample_count must be an integer, got 200.5"),
         ("keep_count=2.5", "keep_count must be an integer, got 2.5"),
         ("k_max=7.9", "k_max expects an integer, got 7.9"),
+        ("k_candidates=5",
+         "k_candidates must be a range, list or tuple of integers, got 5"),
+        ("k_candidates=2.5",
+         "k_candidates must be a range, list or tuple of integers, got 2.5"),
+        ("k_candidates=abc",
+         "k_candidates must be a range, list or tuple of integers, got 'abc'"),
     ],
 )
 def test_non_integer_settings_exit_one(bridge_file, capsys, setting, message):
@@ -216,6 +222,52 @@ def test_tester_rejects_the_triangle(tmp_path):
     rc, payload, _ = run_json(argv, tmp_path)
     assert rc == 3
     assert payload["verdict"] == "reject"
+
+
+# Config files refused by both commands; {kind} is "tester" or "estimator".
+BAD_CONFIGS = [
+    ('{"solver_cap": "x"}', "solver_cap expects an integer, got 'x'"),
+    ('{"solver_cap": null}', "solver_cap expects an integer, got None"),
+    ('{"overrides": [1, 2]}', "overrides expects an object or null, got [1, 2]"),
+    ('{"overrides": 5}', "overrides expects an object or null, got 5"),
+    ("[1, 2]", "a {kind} config must be a JSON object, got list"),
+    ('"x"', "a {kind} config must be a JSON object, got str"),
+]
+BAD_TESTER_CONFIGS = [
+    ('{"retries": "8"}', "retries expects an integer, got '8'"),
+    ('{"retries": 2.0}', "retries expects an integer, got 2.0"),
+    ('{"retries": true}', "retries expects an integer, got True"),
+    ('{"phase1_probes": 2.5}', "phase1_probes expects an integer, got 2.5"),
+    ('{"phase2_samples": "3"}', "phase2_samples expects an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [("test", *case) for case in BAD_TESTER_CONFIGS + BAD_CONFIGS]
+    + [("estimate", *case) for case in BAD_CONFIGS],
+)
+def test_bad_config_files_exit_one(bridge_file, tmp_path, capsys, command, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    extra = ["--property", "bipartite"] if command == "test" else ["--scorer", "matching"]
+    argv = [command, "--graph", bridge_file, "--config", str(config)] + extra
+    assert main(argv) == 1
+    kind = "tester" if command == "test" else "estimator"
+    assert capsys.readouterr().err == f"error: {message.format(kind=kind)}\n"
+
+
+def test_null_phase_sizes_keep_their_computed_defaults(bridge_file, tmp_path):
+    config = tmp_path / "tester.json"
+    config.write_text(json.dumps({
+        "overrides": GOLDEN_SETTINGS, "cut_threshold": 0.5, "retries": 2,
+        "phase1_probes": None, "phase2_samples": None,
+    }), encoding="utf-8")
+    argv = ["test", "--graph", bridge_file, "--property", "bipartite",
+            "--config", str(config)]
+    rc, payload, _ = run_json(argv, tmp_path)
+    assert rc == 0
+    assert payload["phase1_probes"] == 480
 
 
 def test_tester_unknown_property_exits_one(bridge_file, capsys):

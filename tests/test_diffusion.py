@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from partition_oracle import (
+    BoundedDegreeGraph,
     conductance,
     cut_size,
     exact_number,
@@ -19,9 +21,9 @@ from partition_oracle import (
     truncate,
     truncated_diffusion,
 )
-from partition_oracle.diffusion import Diffuser
+from partition_oracle.diffusion import Diffuser, step_tables
 
-from conftest import bridge_graph, cycle_graph, path_graph
+from conftest import BRIDGE_EDGES, bridge_graph, cycle_graph, path_graph
 
 
 def test_exact_number_reads_float_decimals_literally():
@@ -231,17 +233,17 @@ def test_a_step_that_raises_leaves_the_scratch_zeroed(exact):
     """An out-of-range id raises partway through the push, after earlier
     vertices have added their shares; a poisoned mass raises partway
     through the gather, after vertex 0 has been kept.  Either way the
-    scratch is zeroed, the first hits are as given, and the next step is
+    scratch is zeroed, the reach set is as given, and the next step is
     still exact."""
     g = gen_grid(4, 4)
     diffuser = Diffuser(g, 0.001, exact)
     one = Fraction(1) if exact else 1.0
     for bad, error in (({0: one, 5: one, g.n: one}, IndexError),
                        ({0: one, 5: Poison()}, ArithmeticError)):
-        hits = {5: 0}
+        reached = {5}
         with pytest.raises(error):
-            diffuser.step(bad, hits, 1)
-        assert hits == {5: 0}
+            diffuser.step(bad, reached)
+        assert reached == {5}
         assert all(x == 0 for x in diffuser.tables[3])
     p = {5: one}
     for got in reference_walk(g, 5, 6, 0.001, exact):
@@ -265,3 +267,24 @@ def test_diffusers_on_one_graph_share_tables_and_walk_in_turn():
             got[i].append(list(walks[i].items()))
     assert got[0] == reference_walk(gen_grid(5, 5), 7, 10, rhos[0], False)
     assert got[1] == reference_walk(gen_grid(5, 5), 12, 10, rhos[1], False)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_step_tables_hold_one_stay_factor_per_degree_present(exact):
+    """A header bound far above every degree costs no memory: the tables
+    hold a stay factor only for the degrees present, one object shared by
+    the vertices of each degree, with the reference's values."""
+    d = 10**6
+    g = BoundedDegreeGraph.from_edges(8, d, BRIDGE_EDGES)
+    tracemalloc.start()
+    try:
+        _, stay, *_ = step_tables(g, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    edge_w = Fraction(1, 2 * d) if exact else 1.0 / (2 * d)
+    for u, a in enumerate(g.adjacency):
+        assert stay[u] == 1 - len(a) * edge_w and type(stay[u]) is type(edge_w), u
+        first = next(w for w in range(g.n) if len(g.adjacency[w]) == len(a))
+        assert stay[u] is stay[first], u

@@ -44,6 +44,9 @@ def test_phase_thresholds_validation():
         PhaseThresholds((3, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         PhaseThresholds((-1, 0))
+    for k in ((2.5, 3, 0), (True, 3, 0), (3, 1, 0.0), ("3", 0)):
+        with pytest.raises(ValueError, match="size thresholds must be integers"):
+            PhaseThresholds(k)
 
 
 def test_for_phase_is_one_indexed():
@@ -333,7 +336,7 @@ def test_engine_given_thresholds_refuses_findr_samples_beyond_desk_scale(bridge)
 def test_engines_on_one_graph_walk_in_turn_like_separate_runs():
     """Engines on one graph share its step scratch (two double-mode engines
     with different bounds, one exact); advancing their walks in turn gives
-    each the vectors and first hits of a run on a graph of its own."""
+    each the vectors and reach sets of a run on a graph of its own."""
     g = gen_grid(6, 6)
     contexts = [
         desk_context(g),

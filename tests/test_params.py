@@ -113,6 +113,11 @@ def test_unknown_override_is_rejected():
         ("k_candidates", range(5, 5), "non-empty"),
         ("k_candidates", (0, 3), "outside"),
         ("k_candidates", range(1, 5000), "must lie in"),
+        ("k_candidates", 5, "range, list or tuple of integers"),
+        ("k_candidates", 2.5, "range, list or tuple of integers"),
+        ("k_candidates", "abc", "range, list or tuple of integers"),
+        ("k_candidates", (1, 2.5), "range, list or tuple of integers"),
+        ("k_candidates", [1, True], "range, list or tuple of integers"),
     ],
 )
 def test_validation_rejects_bad_fields(field, value, message):

@@ -158,13 +158,17 @@ def test_a_cold_piece_query_opens_scans_only_inside_the_anchor_cluster(g, seed):
 @PROPERTY_SETTINGS
 @given(graphs, st.integers(1, 20))
 def test_find_ib_matches_brute_force(g, ell):
-    """The frontier search, admitting w in round t when its first hit on v
-    is at a step <= t, finds exactly the brute-force incoming ball.  Short
-    walk caps make the round at which a vertex is admitted matter."""
+    """The search from v, admitting each neighbour of a member whose walk
+    reaches v, finds exactly the brute-force incoming ball, at walk caps
+    from 1 to 20; on a cold engine it walks only v, members of the ball
+    and their neighbours."""
     params = desk_params(g.d, ell=ell)
-    oracle = PartitionOracle(g, SeedContext(0, params))
     for v in range(g.n):
-        assert oracle.find_ib(v) == brute_incoming_ball(g, params, v), v
+        oracle = PartitionOracle(g, SeedContext(0, params))
+        ball = oracle.find_ib(v)
+        assert ball == brute_incoming_ball(g, params, v), v
+        near = {v, *ball, *(w for u in ball for w in g.adjacency[u])}
+        assert set(oracle._walks) <= near, v
 
 
 @PROPERTY_SETTINGS
@@ -222,7 +226,8 @@ def tiny_graphs(draw) -> BoundedDegreeGraph:
 def test_vec_at_resumes_one_walk(g, seed, arithmetic):
     """``vec_at(s)`` is the t_s-step truncated diffusion, whether the
     walk stopped at t_s or ran on to ell first, and finishing a walk from
-    t_s records the same first hits as running it from step 0."""
+    t_s records the same reach set as running it from step 0: the union of
+    the supports at steps 0..ell."""
     params = desk_params(g.d, arithmetic=arithmetic)
     ctx = SeedContext(seed, params)
     partial_first = PartitionOracle(g, ctx)
@@ -231,13 +236,14 @@ def test_vec_at_resumes_one_walk(g, seed, arithmetic):
         t_s = ctx.walk_len_of(s)
         expected = truncated_diffusion(g, s, t_s, params.rho, exact=params.exact)
         assert partial_first.vec_at(s) == expected, s
-        hits = full_first.trajectory_masks(s)
+        reached = full_first.trajectory_masks(s)
         assert full_first.vec_at(s) == expected, s
-        assert partial_first.trajectory_masks(s) == hits, s
-        for t in range(params.ell + 1):
-            support = truncated_diffusion(g, s, t, params.rho, exact=params.exact)
-            assert all(hits[u] <= t for u in support), (s, t)
-            assert {u for u, fh in hits.items() if fh == t} <= set(support), (s, t)
+        assert partial_first.trajectory_masks(s) == reached, s
+        assert reached == {
+            u
+            for t in range(params.ell + 1)
+            for u in truncated_diffusion(g, s, t, params.rho, exact=params.exact)
+        }, s
 
 
 # -- the fused diffusion step --------------------------------------------------
@@ -276,7 +282,7 @@ def test_fused_step_equals_the_reference_step(family, exact, data):
     """``Diffuser.step`` returns ``truncate(lazy_step(...))``: every value
     bit for bit, of the same type, under the same keys in the same order.
     Checked at every step of a walk from every vertex, where the step also
-    records first hits, and on one signed vector, where masses cancel and
+    records the reach set, and on one signed vector, where masses cancel and
     a bound <= 0 must still drop them."""
     g = data.draw(family)
     rho = data.draw(st.sampled_from([0.001, 0.02, 0.07, 0.2]))
@@ -284,15 +290,14 @@ def test_fused_step_equals_the_reference_step(family, exact, data):
     one = Fraction(1) if exact else 1.0
     for s in range(g.n):
         p = {s: one}
-        hits = {s: 0}
-        expected_hits = dict(hits)
+        reached = {s}
+        expected_reached = {s}
         for t in range(1, 13):
             expected = truncate(lazy_step(g, p, exact), rho, exact)
-            for v in expected:
-                expected_hits.setdefault(v, t)
+            expected_reached.update(expected)
             assert exactly(step(p)) == exactly(expected), (s, t)
-            assert exactly(step(p, hits, t)) == exactly(expected), (s, t)
-            assert hits == expected_hits, (s, t)
+            assert exactly(step(p, reached)) == exactly(expected), (s, t)
+            assert reached == expected_reached, (s, t)
             p = expected
             if not p:
                 break
