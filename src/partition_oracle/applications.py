@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from numbers import Real
 from statistics import pvariance
 from typing import Callable, Mapping
 
@@ -192,11 +193,14 @@ def run_tester(
     if retries < 1:
         raise ValueError(f"need at least one phase-1 trial, got {retries}")
     params = config.oracle_params(g, epsilon)
-    threshold = (
-        exact_number(config.cut_threshold)
-        if config.cut_threshold is not None
-        else exact_number(epsilon) / 4
-    )
+    threshold = config.cut_threshold
+    if threshold is None:
+        threshold = exact_number(epsilon) / 4
+    elif (isinstance(threshold, bool) or not isinstance(threshold, Real)
+          or not 0 <= threshold <= 1):
+        raise ValueError(f"cut_threshold must be a number in [0, 1], got {threshold!r}")
+    else:
+        threshold = exact_number(threshold)
     probes = (
         config.phase1_probes
         if config.phase1_probes is not None

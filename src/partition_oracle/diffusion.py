@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Union
 
 from .graphs import BoundedDegreeGraph, VertexSet
@@ -77,15 +76,13 @@ def truncate(p: MassVector, rho: Mass, exact: bool = False) -> MassVector:
 
 def step_tables(g: BoundedDegreeGraph, exact: bool) -> tuple:
     """:class:`Diffuser`'s tables for one mode, built once into ``g.derived``: adjacency,
-    stay factors (one shared per degree present), closed neighborhoods, dense scratch,
-    edge weight, zero."""
+    stay factors (one shared per degree present), dense scratch, edge weight, zero."""
     key = ("step", exact)
     if key not in g.derived:
         edge_w = Fraction(1, 2 * g.d) if exact else 1.0 / (2 * g.d)
         stay = {deg: 1 - deg * edge_w for deg in set(map(len, g.adjacency))}
         zero = 0 if exact else 0.0
-        g.derived[key] = (g.adjacency, [stay[len(a)] for a in g.adjacency],
-                          [(u,) + a for u, a in enumerate(g.adjacency)], [zero] * g.n,
+        g.derived[key] = (g.adjacency, [stay[len(a)] for a in g.adjacency], [zero] * g.n,
                           edge_w, zero)
     return g.derived[key]
 
@@ -94,9 +91,12 @@ class Diffuser:
     """``truncate(lazy_step(g, p, exact), rho, exact)`` as one fused step.
 
     The push adds shares into a dense scratch in ``lazy_step``'s order and
-    the gather reads the touched slots in its first-touch order, zeroing
-    each; so values and key order are the reference's while no stay share
-    is zero.  Diffusers on one graph share its tables and scratch.
+    notes each slot it finds at zero: the first touches, in the order
+    ``lazy_step`` inserts its keys.  The gather reads the noted slots,
+    skipping those already zeroed, so a slot noted again after its sum
+    cancelled to zero keeps its first place.  Values and key order are the
+    reference's while no stay share is zero.  Diffusers on one graph share
+    its tables and scratch.
     """
 
     def __init__(self, g: BoundedDegreeGraph, rho: Mass, exact: bool = False):
@@ -110,22 +110,30 @@ class Diffuser:
         The set grows only once the step has succeeded, so a step that
         raises leaves it, like the scratch, as it was.
         """
-        adj, stay, closed, acc, edge_w, zero = self.tables
+        adj, stay, acc, edge_w, zero = self.tables
         bound = self.bound
-        order = sorted(p)
+        touched: list[int] = []
+        note = touched.append
         out: MassVector = {}
         try:
-            for u in order:
+            for u in sorted(p):
                 m = p[u]
-                acc[u] += m * stay[u]
+                x = acc[u]
+                if not x:
+                    note(u)
+                acc[u] = x + m * stay[u]
                 share = m * edge_w
                 for v in adj[u]:
-                    acc[v] += share
-            for v in dict.fromkeys(chain.from_iterable(map(closed.__getitem__, order))):
+                    x = acc[v]
+                    if not x:
+                        note(v)
+                    acc[v] = x + share
+            for v in touched:
                 x = acc[v]
-                acc[v] = zero
-                if x > bound:
-                    out[v] = x
+                if x:
+                    acc[v] = zero
+                    if x > bound:
+                        out[v] = x
         except BaseException:
             acc[:] = [zero] * len(acc)
             raise

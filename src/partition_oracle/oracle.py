@@ -88,11 +88,13 @@ class SweepScan:
         self.pos_v = pos.get(v)
         cutpref = [0]
         cut = 0
-        prefix: set[int] = set()
-        for w in order:
-            inside = sum(1 for x in g.adjacency[w] if x in prefix)
-            cut += g.degree(w) - 2 * inside
-            prefix.add(w)
+        rank = pos.get
+        for i, w in enumerate(order):
+            nbrs = g.adjacency[w]
+            cut += len(nbrs)
+            for x in nbrs:
+                if rank(x, i) < i:  # x is in the prefix before w
+                    cut -= 2
             cutpref.append(cut)
         self.cutpref = cutpref
         self.v_nbr_pos = sorted(pos[x] for x in g.adjacency[v] if x in pos)
@@ -430,7 +432,8 @@ class PartitionOracle:
         """
         scan = self._capture.get(u)
         if scan is None:
-            scan = [sorted(self.find_ib(u), key=self.ctx.order_key), 0, None]
+            # find_ib is id-sorted and the sort is stable: (phase, id) order.
+            scan = [sorted(self.find_ib(u), key=self.ctx.phase_of), 0, None]
             self._capture[u] = scan
         ball, i, anchor = scan
         if anchor is None:

@@ -90,7 +90,7 @@ class OracleParams:
     def validate(self) -> None:
         for name in ("ell", "h_bar", "sample_count", "keep_count"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not is_integer(value):
                 raise ParamError(f"{name} must be an integer, got {value!r}")
         eps = exact_number(self.epsilon)
         if not 0 < eps < 1:

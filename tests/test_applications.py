@@ -178,6 +178,13 @@ def test_tester_validates_arguments(bridge):
         run_tester(bridge, 0.1, accept_everything, trials=0)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", -1, 1.5, float("nan")])
+def test_tester_refuses_a_cut_threshold_outside_the_unit_interval(bridge, value):
+    config = bridge_tester_config(cut_threshold=value)
+    with pytest.raises(ValueError, match="cut_threshold must be a number in"):
+        run_tester(bridge, 0.1, accept_everything, config=config)
+
+
 def test_tester_trials_override_config_retries(bridge):
     config = bridge_tester_config(cut_threshold=0.0, retries=5)
     detail = run_tester(bridge, 0.1, accept_everything, trials=1, config=config)

@@ -239,6 +239,10 @@ BAD_TESTER_CONFIGS = [
     ('{"retries": true}', "retries expects an integer, got True"),
     ('{"phase1_probes": 2.5}', "phase1_probes expects an integer, got 2.5"),
     ('{"phase2_samples": "3"}', "phase2_samples expects an integer, got '3'"),
+    ('{"cut_threshold": true}', "cut_threshold must be a number in [0, 1], got True"),
+    ('{"cut_threshold": "0.5"}', "cut_threshold must be a number in [0, 1], got '0.5'"),
+    ('{"cut_threshold": -1}', "cut_threshold must be a number in [0, 1], got -1"),
+    ('{"cut_threshold": 1.5}', "cut_threshold must be a number in [0, 1], got 1.5"),
 ]
 
 

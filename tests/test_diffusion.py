@@ -244,11 +244,60 @@ def test_a_step_that_raises_leaves_the_scratch_zeroed(exact):
         with pytest.raises(error):
             diffuser.step(bad, reached)
         assert reached == {5}
-        assert all(x == 0 for x in diffuser.tables[3])
+        assert all(x == 0 for x in diffuser.tables[2])
     p = {5: one}
     for got in reference_walk(g, 5, 6, 0.001, exact):
         p = diffuser.step(p)
         assert list(p.items()) == got
+
+
+# On the path 0-1-2 (d = 2) vertex 1 first takes 1/2 from vertex 0, cancels
+# to exactly zero on vertex 1's own stay share of -1/2, and takes 1 from
+# vertex 2 last: the reference inserts it at its first touch.
+CANCELLING = {0: 2, 1: -1, 2: 4}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_sum_that_cancels_partway_keeps_its_first_place(exact):
+    g = path_graph(3)
+    one = Fraction(1) if exact else 1.0
+    p = {v: one * m for v, m in CANCELLING.items()}
+    expected = truncate(lazy_step(g, p, exact), 0.001, exact)
+    assert list(expected) == [0, 1, 2]
+    got = Diffuser(g, 0.001, exact).step(p)
+    assert [(v, type(x), x) for v, x in got.items()] == [
+        (v, type(x), x) for v, x in expected.items()
+    ]
+
+
+class TallyScratch(list):
+    """A scratch that counts the reads and writes of a step."""
+
+    reads = writes = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, x):
+        self.writes += 1
+        super().__setitem__(i, x)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_gather_reads_first_touches_and_zeroes_only_slots_with_mass(exact):
+    """The push reads and writes one slot per add: a stay share per vertex
+    and a share per edge end, 7 here.  The gather reads the 4 noted
+    touches (vertex 1 twice, once more after its sum cancelled) and zeroes
+    the 3 slots that still hold mass."""
+    g = path_graph(3)
+    adj, stay, scratch, edge_w, zero = step_tables(g, exact)
+    tally = TallyScratch(scratch)
+    g.derived[("step", exact)] = (adj, stay, tally, edge_w, zero)
+    one = Fraction(1) if exact else 1.0
+    Diffuser(g, 0.001, exact).step({v: one * m for v, m in CANCELLING.items()})
+    assert (tally.reads, tally.writes) == (7 + 4, 7 + 3)
+    assert all(x == 0 for x in tally)
 
 
 def test_diffusers_on_one_graph_share_tables_and_walk_in_turn():
@@ -258,7 +307,7 @@ def test_diffusers_on_one_graph_share_tables_and_walk_in_turn():
     rhos = (0.001, 0.02)
     diffusers = [Diffuser(g, rho) for rho in rhos]
     assert diffusers[0].tables is diffusers[1].tables
-    assert Diffuser(g, 0.001, exact=True).tables[3] is not diffusers[0].tables[3]
+    assert Diffuser(g, 0.001, exact=True).tables[2] is not diffusers[0].tables[2]
     walks = [{7: 1.0}, {12: 1.0}]
     got: list[list] = [[], []]
     for _ in range(10):

@@ -91,6 +91,12 @@ def test_integer_fields_refuse_non_integers(name):
         desk_params(3, **{name: 10.5})
 
 
+@pytest.mark.parametrize("name", ["ell", "h_bar", "sample_count", "keep_count"])
+def test_integer_fields_refuse_bools(name):
+    with pytest.raises(ParamError, match=f"{name} must be an integer, got True"):
+        derive_params(0.1, 4, "explicit", {**DESK_OVERRIDES, name: True})
+
+
 def test_unknown_override_is_rejected():
     with pytest.raises(ParamError, match="unknown parameter overrides"):
         derive_params(0.1, 3, "explicit", {"gamma": 1})
