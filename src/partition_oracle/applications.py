@@ -65,7 +65,7 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
     if raw:
         for key, value in raw.items():
             if key == "k_max":
-                if not isinstance(value, int):
+                if not is_integer(value):
                     raise ValueError(f"k_max expects an integer, got {value!r}")
                 out["k_candidates"] = range(1, value + 1)
             elif key == "exact":
@@ -201,16 +201,12 @@ def run_tester(
         raise ValueError(f"cut_threshold must be a number in [0, 1], got {threshold!r}")
     else:
         threshold = exact_number(threshold)
-    probes = (
-        config.phase1_probes
-        if config.phase1_probes is not None
-        else math.ceil(48 / epsilon)
-    )
-    piece_samples = (
-        config.phase2_samples
-        if config.phase2_samples is not None
-        else math.ceil(8 / epsilon)
-    )
+    for name in ("phase1_probes", "phase2_samples"):
+        value = getattr(config, name)
+        if value is not None and not (is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    probes = config.phase1_probes or math.ceil(48 / epsilon)
+    piece_samples = config.phase2_samples or math.ceil(8 / epsilon)
 
     estimates: list[float] = []
     chosen: tuple[int, PartitionOracle, SeedContext] | None = None

@@ -269,7 +269,12 @@ def _free_set(g: BoundedDegreeGraph, spec: str) -> tuple[int, ...]:
     with open(spec, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                u = int(line)
+                try:
+                    u = int(line)
+                except ValueError:
+                    raise ValueError(
+                        f"{spec}:{lineno}: expected a vertex id, got {line.strip()!r}"
+                    ) from None
                 if not 0 <= u < g.n:
                     raise ValueError(f"{spec}:{lineno}: vertex {u} out of range [0, {g.n})")
                 ids.append(u)

@@ -94,9 +94,9 @@ class Diffuser:
     notes each slot it finds at zero: the first touches, in the order
     ``lazy_step`` inserts its keys.  The gather reads the noted slots,
     skipping those already zeroed, so a slot noted again after its sum
-    cancelled to zero keeps its first place.  Values and key order are the
-    reference's while no stay share is zero.  Diffusers on one graph share
-    its tables and scratch.
+    cancelled to zero keeps its first place, and a zero stay share notes
+    nothing.  Values and key order are the reference's.  Diffusers on one
+    graph share its tables and scratch.
     """
 
     def __init__(self, g: BoundedDegreeGraph, rho: Mass, exact: bool = False):
@@ -119,9 +119,10 @@ class Diffuser:
             for u in sorted(p):
                 m = p[u]
                 x = acc[u]
-                if not x:
+                s = m * stay[u]
+                if not x and s:  # lazy_step inserts no zero stay share
                     note(u)
-                acc[u] = x + m * stay[u]
+                acc[u] = x + s
                 share = m * edge_w
                 for v in adj[u]:
                     x = acc[v]

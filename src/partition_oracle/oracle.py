@@ -169,11 +169,12 @@ def cluster(
 class PartitionOracle:
     """Shared engine behind both the local query path and the global run.
 
-    Thresholds are computed once per (graph, seed, params): lazily by the
-    local findr, or phase by phase inside the global pass, whichever runs
-    first.  The bundle is checked against desk scale when the engine is
-    built, and given thresholds must cover exactly h_bar phases.  An engine
-    is not safe to share between threads.
+    Thresholds are chosen phase by phase on first use, once per (graph,
+    seed, params): the threshold of phase h when a query or the global pass
+    first needs it, after those of the phases before it.  The bundle is
+    checked against desk scale when the engine is built, and given
+    thresholds must cover exactly h_bar phases.  An engine is not safe to
+    share between threads.
     """
 
     def __init__(
@@ -192,8 +193,7 @@ class PartitionOracle:
         self.params = ctx.params
         self._phi = exact_number(self.params.phi)
         self._beta = exact_number(self.params.beta)
-        self._thresholds = thresholds
-        self._ks: list[int] | None = list(thresholds.k) if thresholds else None
+        self._ks: list[int] = list(thresholds.k) if thresholds else []
         self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
         # Per source: [step, vector at step, reach set, vector at t_s].
         self._walks: dict[int, list] = {}
@@ -259,17 +259,36 @@ class PartitionOracle:
     # -- thresholds (findr) -------------------------------------------------
 
     def thresholds(self) -> PhaseThresholds:
-        """Per-phase size thresholds, from the local findr if not yet known."""
-        if self._thresholds is None:
-            self._thresholds = self._compute_thresholds()
-        return self._thresholds
+        """Per-phase size thresholds, choosing those not yet known."""
+        self._k_of(self.params.h_bar)
+        return PhaseThresholds(tuple(self._ks))
 
-    def _k_of(self, h: int) -> int:
-        if self._ks is None or len(self._ks) < h:
-            raise RuntimeError(
-                f"size threshold for phase {h} requested before it was computed"
-            )
-        return self._ks[h - 1]
+    def _k_of(self, h: int, free_test: Callable[[int], bool] | None = None) -> int:
+        """k_h, after choosing k_1..k_h in phase order where not yet known.
+
+        Phase j < h_bar is chosen by ``threshold_search`` with ``free_test``
+        as the free test when j == h and it is given, else with
+        ``is_free(u, j)``; k_h_bar is 0.  The list ``_ks`` grows only here.
+
+        The search for phase j may run inside a capture scan (a seed of
+        phase j asks for its cluster), and it calls back into capture scans.
+        That is safe.  Its free tests read only seeds of phases < j, whose
+        thresholds are already in the list, so no search starts inside
+        another.  And a search that starts during the capture scan of ``u``
+        can only re-scan a prefix of ``u``'s ball: the outer scan has passed
+        every seed of phase < j there without a capture, and it writes its
+        own cursor last.
+        """
+        ks = self._ks
+        while len(ks) < h:
+            j = len(ks) + 1
+            if j == self.params.h_bar:
+                ks.append(0)
+                continue
+            test = free_test if free_test and j == h else lambda u: self.is_free(u, j)
+            summary, _ = self.threshold_search(j, test, self.params.k_candidates)
+            ks.append(summary["chosen_k"])
+        return ks[h - 1]
 
     def phase_sample(self, h: int) -> list[int]:
         """The findr sampling stream for phase ``h`` (uar, with replacement)."""
@@ -380,19 +399,6 @@ class PartitionOracle:
         }
         return summary, counts
 
-    def _choose_threshold(self, h: int, free_test: Callable[[int], bool]) -> int:
-        summary, _ = self.threshold_search(h, free_test, self.params.k_candidates)
-        return summary["chosen_k"]
-
-    def _compute_thresholds(self) -> PhaseThresholds:
-        """The local findr: each free test is an incoming-ball search."""
-        ks: list[int] = []
-        self._ks = ks
-        for h in range(1, self.params.h_bar):
-            ks.append(self._choose_threshold(h, lambda u, _h=h: self.is_free(u, _h)))
-        ks.append(0)
-        return PhaseThresholds(tuple(ks))
-
     # -- local query path ---------------------------------------------------
 
     def seed_cluster(self, s: int) -> VertexSet:
@@ -457,17 +463,11 @@ class PartitionOracle:
             raise ValueError(f"phase {h} outside [1, {self.params.h_bar}]")
         if h == 1:
             return True
-        if self._ks is None or len(self._ks) < h - 1:
-            # Seeds of phases 1..h-1 need their size thresholds.  During the
-            # threshold computation itself the first h-1 entries are already
-            # in place, so this never re-enters findr.
-            self.thresholds()
         anchor = self._capturer(u, h)
         return anchor is None or self.ctx.phase_of(anchor) >= h
 
     def find_anchor(self, v: int) -> int:
         """The first seed in processing order whose cluster contains ``v``."""
-        self.thresholds()
         anchor = self._capturer(v, self.params.h_bar + 1)
         if anchor is None:
             raise RuntimeError(
@@ -520,15 +520,12 @@ class PartitionOracle:
     def _run_global(self, free_sets: dict[int, frozenset] | None) -> Partition:
         """The global procedure, phase by phase over a plain free array.
 
-        Without given thresholds this is also the global findr: each k_h is
-        chosen at the start of phase h, when ``free`` holds exactly the
-        vertices that no earlier phase's seed captured.
+        This is also the global findr: a k_h not yet known is chosen at the
+        start of phase h, when ``free`` holds exactly the vertices that no
+        earlier phase's seed captured.
         """
         n = self.g.n
         h_bar = self.params.h_bar
-        search = self._thresholds is None
-        if search:
-            self._ks = []
         seeds_of: list[list[int]] = [[] for _ in range(h_bar + 1)]
         for v in range(n):
             seeds_of[self.ctx.phase_of(v)].append(v)
@@ -537,15 +534,10 @@ class PartitionOracle:
         for h in range(1, h_bar + 1):
             if free_sets is not None:
                 free_sets[h] = frozenset(u for u in range(n) if free[u])
-            if search:
-                self._ks.append(
-                    self._choose_threshold(h, free.__getitem__) if h < h_bar else 0
-                )
+            self._k_of(h, free.__getitem__)
             for v in seeds_of[h]:
                 for u in self._seed_set(v):
                     if free[u]:
                         anchors[u] = v
                         free[u] = False
-        if search:
-            self._thresholds = PhaseThresholds(tuple(self._ks))
         return Partition(anchors=tuple(anchors))

@@ -9,7 +9,6 @@ from partition_oracle import (
     OracleConfigError,
     Partition,
     PartitionOracle,
-    PhaseThresholds,
     cut_size,
     differential_check,
     exact_number,
@@ -292,11 +291,8 @@ def test_differential_check_reports_a_threshold_mismatch(bridge, monkeypatch):
     reference.global_partition()
     assert reference.thresholds().k[0] == 3
 
-    def zero_findr(self):
-        self._ks = [0] * self.params.h_bar
-        return PhaseThresholds(tuple(self._ks))
-
-    monkeypatch.setattr(PartitionOracle, "_compute_thresholds", zero_findr)
+    # A local free test that frees nothing makes every local threshold 0.
+    monkeypatch.setattr(PartitionOracle, "is_free", lambda self, u, h: False)
     report = differential_check(bridge, desk_context(bridge))
     assert not report.ok
     assert report.first_divergence == {"phase": 1, "local": 0, "global": 3}

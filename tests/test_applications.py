@@ -185,6 +185,17 @@ def test_tester_refuses_a_cut_threshold_outside_the_unit_interval(bridge, value)
         run_tester(bridge, 0.1, accept_everything, config=config)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("phase1_probes", 0), ("phase1_probes", -3), ("phase1_probes", 2.5),
+     ("phase2_samples", 0), ("phase2_samples", -1), ("phase2_samples", True)],
+)
+def test_tester_refuses_phase_sizes_below_one(bridge, field, value):
+    config = bridge_tester_config(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+        run_tester(bridge, 0.1, accept_everything, config=config)
+
+
 def test_tester_trials_override_config_retries(bridge):
     config = bridge_tester_config(cut_threshold=0.0, retries=5)
     detail = run_tester(bridge, 0.1, accept_everything, trials=1, config=config)

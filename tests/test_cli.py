@@ -7,10 +7,20 @@ import json
 
 import pytest
 
-from partition_oracle import cli, load_graph, save_graph
+from partition_oracle import (
+    PartitionOracle,
+    PhaseThresholds,
+    SeedContext,
+    cli,
+    derive_params,
+    gen_grid,
+    load_graph,
+    save_graph,
+)
+from partition_oracle.applications import oracle_overrides
 from partition_oracle.cli import main
 
-from conftest import bridge_graph
+from conftest import CONFIG_DIR, DATA_DIR, bridge_graph, load_json, piece_map
 
 # The calibrated bridge bundle, spelled as --set pairs.
 GOLDEN_SETTINGS = {
@@ -185,6 +195,30 @@ def test_query_returns_a_piece_containing_the_vertex(bridge_file, tmp_path):
     assert first == second
 
 
+def test_query_on_the_grid50_config_returns_the_golden_piece(tmp_path):
+    """A cold CLI query chooses only the thresholds its scan needs, and its
+    anchor and piece are those of the global pass at the golden thresholds."""
+    config = load_json(CONFIG_DIR / "partition_grid50.json")
+    golden = load_json(DATA_DIR / "grid50_golden.json")
+    g = gen_grid(config["graph"]["rows"], config["graph"]["cols"])
+    params = derive_params(
+        config["eps"], g.d, config["mode"], oracle_overrides(config["overrides"])
+    )
+    thresholds = PhaseThresholds(tuple(golden["thresholds"]))
+    reference = PartitionOracle(g, SeedContext(config["seed"], params), thresholds)
+    partition = reference.global_partition()
+    graph = tmp_path / "grid50.graph"
+    save_graph(g, graph)
+    argv = ["query", "--graph", str(graph), "--seed", str(config["seed"]),
+            "--eps", str(config["eps"]), "1275"]
+    for key, value in config["overrides"].items():
+        argv += ["--set", f"{key}={value}"]
+    rc, payload, _ = run_json(argv, tmp_path)
+    assert rc == 0
+    assert payload["anchor"] == partition.anchors[1275]
+    assert tuple(payload["piece"]) == piece_map(g, partition)[1275]
+
+
 def test_query_rejects_out_of_range_vertex(bridge_file, capsys):
     assert main(["query", "--graph", bridge_file, "99"] + set_args()) == 1
     assert "out of range" in capsys.readouterr().err
@@ -230,6 +264,7 @@ BAD_CONFIGS = [
     ('{"solver_cap": null}', "solver_cap expects an integer, got None"),
     ('{"overrides": [1, 2]}', "overrides expects an object or null, got [1, 2]"),
     ('{"overrides": 5}', "overrides expects an object or null, got 5"),
+    ('{"overrides": {"k_max": true}}', "k_max expects an integer, got True"),
     ("[1, 2]", "a {kind} config must be a JSON object, got list"),
     ('"x"', "a {kind} config must be a JSON object, got str"),
 ]
@@ -243,6 +278,10 @@ BAD_TESTER_CONFIGS = [
     ('{"cut_threshold": "0.5"}', "cut_threshold must be a number in [0, 1], got '0.5'"),
     ('{"cut_threshold": -1}', "cut_threshold must be a number in [0, 1], got -1"),
     ('{"cut_threshold": 1.5}', "cut_threshold must be a number in [0, 1], got 1.5"),
+    ('{"phase1_probes": 0}', "phase1_probes must be an integer >= 1, got 0"),
+    ('{"phase1_probes": -3}', "phase1_probes must be an integer >= 1, got -3"),
+    ('{"phase2_samples": 0}', "phase2_samples must be an integer >= 1, got 0"),
+    ('{"phase2_samples": -1}', "phase2_samples must be an integer >= 1, got -1"),
 ]
 
 
@@ -361,6 +400,17 @@ def test_census_rejects_free_ids_out_of_range(bridge_file, tmp_path, capsys, kin
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "free.txt:3: vertex 8 out of range [0, 8)" in err
     assert not out.exists()
+
+
+def test_census_names_the_line_of_a_free_id_that_is_not_an_integer(
+    bridge_file, tmp_path, capsys
+):
+    free = tmp_path / "free.txt"
+    free.write_text("0\n3\nx\n", encoding="utf-8")
+    argv = (["census", "--graph", bridge_file, "--kind", "good-seed",
+             "--free", str(free)] + set_args())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {free}:3: expected a vertex id, got 'x'\n"
 
 
 def test_leaky_census_rejects_an_out_of_range_source(bridge_file, capsys):

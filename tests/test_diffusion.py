@@ -270,6 +270,21 @@ def test_a_sum_that_cancels_partway_keeps_its_first_place(exact):
     ]
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_zero_mass_takes_its_place_from_the_first_push_into_it(exact):
+    """Vertex 0 holds no mass on the path 0-1, so its stay share is zero
+    and the reference inserts it only when vertex 1 pushes into it."""
+    g = path_graph(2)
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    p = {0: zero, 1: one}
+    expected = truncate(lazy_step(g, p, exact), 0.001, exact)
+    assert list(expected) == [1, 0]
+    got = Diffuser(g, 0.001, exact).step(p)
+    assert [(v, type(x), x) for v, x in got.items()] == [
+        (v, type(x), x) for v, x in expected.items()
+    ]
+
+
 class TallyScratch(list):
     """A scratch that counts the reads and writes of a step."""
 

@@ -204,6 +204,31 @@ def test_phase_sample_is_reproducible():
     assert sample == PartitionOracle(g, desk_context(g)).phase_sample(1)
 
 
+def test_a_cold_anchor_query_searches_only_the_phases_its_scan_reaches(
+    bridge, monkeypatch
+):
+    """The scan of ``v`` meets seeds in phase order and stops at the anchor,
+    so it needs k_1..k_p for an anchor of phase p (k_h_bar is 0 without a
+    search): a vertex captured in phase 1 runs exactly one search."""
+    ctx = desk_context(bridge, 2)
+    anchors = PartitionOracle(bridge, ctx).global_partition().anchors
+    phases = [ctx.phase_of(a) for a in anchors]
+    assert 1 in phases and max(phases) > 2
+    last_search = ctx.params.h_bar - 1
+    searched = []
+    search = PartitionOracle.threshold_search
+
+    def counting_search(self, h, *args, **kwargs):
+        searched.append(h)
+        return search(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionOracle, "threshold_search", counting_search)
+    for v, p in enumerate(phases):
+        searched.clear()
+        assert PartitionOracle(bridge, ctx).find_anchor(v) == anchors[v]
+        assert searched == list(range(1, min(p, last_search) + 1)), v
+
+
 # ------------------------------------------------------------------- is_free
 
 def test_everything_is_free_at_phase_one(bridge):

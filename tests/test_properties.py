@@ -137,6 +137,29 @@ def test_capture_scan_answers_in_any_order(g, seed, data):
 
 
 @PROPERTY_SETTINGS
+@given(graphs, master_seeds, st.data())
+def test_a_fresh_engine_chooses_thresholds_on_first_use_in_any_order(g, seed, data):
+    """An engine with no thresholds answers free tests, anchors and pieces
+    in a drawn order, choosing each phase's threshold when a query first
+    needs it; every answer, and the thresholds it ends with, match a
+    separate global pass."""
+    reference = engine(g, seed)
+    partition, free_sets = reference.global_partition_with_free_sets()
+    pieces = piece_map(g, partition)
+    queries = [(kind, v, None) for kind in ("anchor", "piece") for v in range(g.n)]
+    queries += [("free", u, h) for u in range(g.n) for h in sorted(free_sets)]
+    local = engine(g, seed)
+    for kind, u, h in data.draw(st.permutations(queries)):
+        if kind == "anchor":
+            assert local.find_anchor(u) == partition.anchors[u], u
+        elif kind == "piece":
+            assert local.find_partition(u) == pieces[u], u
+        else:
+            assert local.is_free(u, h) == (u in free_sets[h]), (u, h)
+    assert local.thresholds() == reference.thresholds()
+
+
+@PROPERTY_SETTINGS
 @given(graphs, master_seeds)
 def test_a_cold_piece_query_opens_scans_only_inside_the_anchor_cluster(g, seed):
     """A fresh engine given the thresholds returns each vertex's piece of the
