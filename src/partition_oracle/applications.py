@@ -164,8 +164,8 @@ def estimate_cut_fraction(
     samples: int = 1000,
 ) -> float:
     """Sampled estimate of the fraction of (vertex, incident-edge) draws cut."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (is_integer(samples) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     engine = PartitionOracle(g, ctx, thresholds)
     return _cut_probe_hits(engine, ctx, samples) / samples
 
@@ -189,9 +189,9 @@ def run_tester(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if config is None:
         config = TesterConfig()
-    retries = trials if trials is not None else config.retries
-    if retries < 1:
-        raise ValueError(f"need at least one phase-1 trial, got {retries}")
+    name, retries = ("trials", trials) if trials is not None else ("retries", config.retries)
+    if not (is_integer(retries) and retries >= 1):
+        raise ValueError(f"{name} must be an integer >= 1 (phase-1 trials), got {retries!r}")
     params = config.oracle_params(g, epsilon)
     threshold = config.cut_threshold
     if threshold is None:
@@ -259,8 +259,8 @@ def run_estimator(
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be >= 1 or None, got {samples}")
+    if samples is not None and not (is_integer(samples) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1 or None, got {samples!r}")
     if config is None:
         config = EstimatorConfig()
     ctx = SeedContext(master_seed, config.oracle_params(g, epsilon))

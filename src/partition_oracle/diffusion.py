@@ -145,6 +145,34 @@ class Diffuser:
         return out
 
 
+def support_radius(t: int, rho: Mass) -> int:
+    """reach(t): no ``t``-step truncated diffusion with threshold ``rho`` has
+    support farther than this graph distance from its start.
+
+    It is the largest r with P(Bin(t, 1/2) >= r) > rho, computed in exact
+    integer arithmetic.  Sound because each lazy step moves mass off a
+    vertex with probability deg/(2d) <= 1/2, so the untruncated mass at
+    distance r after t steps is at most that binomial tail; truncation only
+    lowers masses, and it removes masses <= rho, boundary included.  Double
+    mode keeps a relative slack of 1e-12 on the bound, far above the
+    roundoff of a walk, so a kept double mass has exact mass above rho too.
+    For rho = 0.001, reach(20) = 17 and reach(10) = 9.
+    """
+    if t < 0:
+        raise ValueError(f"step count must be >= 0, got {t}")
+    bound = exact_number(rho)
+    # With tail = sum of C(t, i) for i >= r, P(Bin(t, 1/2) >= r) > rho
+    # reads tail * rho.den > rho.num * 2^t.
+    limit = bound.numerator << t
+    term = tail = 1  # C(t, t)
+    for r in range(t, 0, -1):
+        if tail * bound.denominator > limit:
+            return r
+        term = term * r // (t - r + 1)  # C(t, r - 1)
+        tail += term
+    return 0
+
+
 def truncated_diffusion(
     g: BoundedDegreeGraph, v: int, t: int, rho: Mass, exact: bool = False
 ) -> MassVector:

@@ -4,10 +4,12 @@ The same fixed randomness — per-vertex phases and walk lengths derived from
 one master seed — drives both the one-shot global partitioning procedure and
 the per-vertex local query path, and the two are exactly equivalent: a local
 query returns precisely the piece the global procedure would assign.  The
-:class:`PartitionOracle` engine keeps one resumable diffusion walk and one
-sweep scan per source, one cluster per seed, and one resumable capture scan
-per vertex, which answers both ``is_free`` and ``find_anchor``; batches of
-local queries share all of it.
+:class:`PartitionOracle` engine keeps one walk to t_s and one sweep scan per
+seed, one cluster per seed, and one resumable capture scan per vertex, which
+answers both ``is_free`` and ``find_anchor``.  A capture scan walks the
+vertex's candidate list: the seeds close enough that their walks can reach
+it, found by a breadth-first search.  Batches of local queries share all of
+it.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .diffusion import (
     MassVector,
     exact_number,
     ranked_vertices,
+    support_radius,
     truncated_diffusion,
 )
 from .graphs import BoundedDegreeGraph, VertexSet, connected_components
@@ -195,55 +198,50 @@ class PartitionOracle:
         self._beta = exact_number(self.params.beta)
         self._ks: list[int] = list(thresholds.k) if thresholds else []
         self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
-        # Per source: [step, vector at step, reach set, vector at t_s].
-        self._walks: dict[int, list] = {}
+        # Per source: its vector at t_s, and its sweep scan.
+        self._walks: dict[int, MassVector] = {}
         self._scans: dict[int, SweepScan] = {}
+        # Per source, for find_ib only: the reach set of its walk to ell.
+        self._reach_sets: dict[int, set[int]] = {}
+        # Per walk length t: reach(t), the farthest its support can lie.
+        self._radius: dict[int, int] = {}
         # Per seed: its cluster at t_s and k_{h_s}.
         self._seed_cluster: dict[int, frozenset] = {}
-        # Per vertex: [incoming ball in processing order, cursor, anchor].
+        # Per vertex: [candidate list in processing order, cursor, anchor].
         self._capture: dict[int, list] = {}
 
     # -- diffusion caches ---------------------------------------------------
 
-    def _walk_to(self, s: int, t: int) -> list:
-        """Advance the truncated diffusion from ``s`` to step ``t``.
-
-        Each vertex the walk reaches is recorded as it passes, and the
-        vector at ``t_s`` is kept for ``vec_at``.
-        """
-        walk = self._walks.get(s)
-        if walk is None:
-            walk = [0, {s: Fraction(1) if self.params.exact else 1.0}, {s}, None]
-            self._walks[s] = walk
-        step, p, reached, _ = walk
-        if step < t:
-            diffuse = self._diffuser.step
-            t_s = self.ctx.walk_len_of(s)
-            while step < t:
-                step += 1
-                if p:
-                    p = diffuse(p, reached)
-                if step == t_s:
-                    walk[3] = p
-            # A finished walk needs only its reach set.
-            walk[0], walk[1] = step, p if step < self.params.ell else None
-        return walk
+    def _walk(self, s: int, t: int, reached: set[int] | None = None) -> MassVector:
+        """The ``t``-step truncated diffusion from ``s``, adding each vertex
+        it reaches to ``reached`` when given."""
+        p: MassVector = {s: Fraction(1) if self.params.exact else 1.0}
+        diffuse = self._diffuser.step
+        for _ in range(t):
+            if not p:
+                break
+            p = diffuse(p, reached)
+        return p
 
     def trajectory_masks(self, w: int) -> set[int]:
         """The reach set of the truncated diffusion from ``w``: every vertex
-        in its support at some step t = 0..ell.
+        in its support at some step t = 0..ell.  Only ``find_ib`` reads it.
 
         (The name predates reach sets and is kept: ``bench/tracing.py``
         wraps it.)
         """
-        walk = self._walks.get(w)
-        if walk is None or walk[0] < self.params.ell:
-            walk = self._walk_to(w, self.params.ell)
-        return walk[2]
+        reached = self._reach_sets.get(w)
+        if reached is None:
+            reached = self._reach_sets[w] = {w}
+            self._walk(w, self.params.ell, reached)
+        return reached
 
     def vec_at(self, s: int) -> MassVector:
         """The truncated diffusion from ``s`` after its walk length t_s."""
-        return self._walk_to(s, self.ctx.walk_len_of(s))[3]
+        p = self._walks.get(s)
+        if p is None:
+            p = self._walks[s] = self._walk(s, self.ctx.walk_len_of(s))
+        return p
 
     def _scan(self, s: int) -> SweepScan:
         scan = self._scans.get(s)
@@ -275,9 +273,9 @@ class PartitionOracle:
         That is safe.  Its free tests read only seeds of phases < j, whose
         thresholds are already in the list, so no search starts inside
         another.  And a search that starts during the capture scan of ``u``
-        can only re-scan a prefix of ``u``'s ball: the outer scan has passed
-        every seed of phase < j there without a capture, and it writes its
-        own cursor last.
+        can only re-scan a prefix of ``u``'s candidate list: the outer scan
+        has passed every seed of phase < j there without a capture, and it
+        writes its own cursor last.
         """
         ks = self._ks
         while len(ks) < h:
@@ -417,7 +415,9 @@ class PartitionOracle:
 
         A search from ``v``: each neighbour of a member is admitted exactly
         when ``v`` is in its reach set, and the search stops when no
-        admitted member is left to expand.
+        admitted member is left to expand.  This is the paper's incoming
+        ball, kept as the reference definition; capture scans walk the
+        shorter candidate list of ``_candidates`` instead.
         """
         seen = {v}
         ball = [v]
@@ -429,24 +429,62 @@ class PartitionOracle:
                         ball.append(w)
         return tuple(sorted(ball))
 
+    def _reach(self, t: int) -> int:
+        """reach(t) (``support_radius``), memoised per walk length met."""
+        r = self._radius.get(t)
+        if r is None:
+            r = self._radius[t] = support_radius(t, self.params.rho)
+        return r
+
+    def _candidates(self, u: int) -> list[int]:
+        """``u`` and every seed that can capture it, in processing order.
+
+        A seed's cluster lies in the support of its walk at t_s, plus the
+        seed, and that support lies within reach(t_s) of the seed.  So the
+        list holds ``u`` and every seed ``s`` of phase < h_bar with
+        dist(s, u) <= reach(t_s), found by one breadth-first search from
+        ``u`` to radius reach(ell).  Other seeds of phase h_bar have
+        singleton clusters and are left out.
+        """
+        phase_of, walk_len_of = self.ctx.phase_of, self.ctx.walk_len_of
+        reach, h_bar, adjacency = self._reach, self.params.h_bar, self.g.adjacency
+        by_phase: dict[int, list[int]] = {phase_of(u): [u]}
+        seen = {u}
+        frontier = [u]
+        for r in range(1, reach(self.params.ell) + 1):
+            if not frontier:
+                break
+            ring = []
+            for w in frontier:
+                for x in adjacency[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        ring.append(x)
+            for x in ring:
+                h = phase_of(x)
+                if h < h_bar and r <= reach(walk_len_of(x)):
+                    by_phase.setdefault(h, []).append(x)
+            frontier = ring
+        return [s for h in sorted(by_phase) for s in sorted(by_phase[h])]
+
     def _capturer(self, u: int, h: int) -> int | None:
         """Resume the capture scan of ``u`` through the seeds of phases < ``h``.
 
-        The scan walks the incoming ball of ``u`` in processing order and
-        stops at the first seed whose cluster contains ``u``: the anchor.
-        Returns the anchor once found, whatever its phase, else None.
+        The scan walks the candidate list of ``u`` (``_candidates``), which
+        is in processing order, and stops at the first seed whose cluster
+        contains ``u``: the anchor, as the global pass defines it.  Returns
+        the anchor once found, whatever its phase, else None.
         """
         scan = self._capture.get(u)
         if scan is None:
-            # find_ib is id-sorted and the sort is stable: (phase, id) order.
-            scan = [sorted(self.find_ib(u), key=self.ctx.phase_of), 0, None]
+            scan = [self._candidates(u), 0, None]
             self._capture[u] = scan
-        ball, i, anchor = scan
+        seeds, i, anchor = scan
         if anchor is None:
             phase_of = self.ctx.phase_of
-            while i < len(ball) and phase_of(ball[i]) < h:
-                if u in self._seed_set(ball[i]):
-                    anchor = ball[i]
+            while i < len(seeds) and phase_of(seeds[i]) < h:
+                if u in self._seed_set(seeds[i]):
+                    anchor = seeds[i]
                     break
                 i += 1
             scan[1], scan[2] = i, anchor
@@ -456,7 +494,7 @@ class PartitionOracle:
         """Whether ``u`` is still unclustered when phase ``h`` starts.
 
         Only seeds of earlier phases can have captured ``u``, and every such
-        seed lies in the incoming ball of ``u``, so the check never needs a
+        seed is on the candidate list of ``u``, so the check never needs a
         global pass.
         """
         if not 1 <= h <= self.params.h_bar:
@@ -472,7 +510,7 @@ class PartitionOracle:
         if anchor is None:
             raise RuntimeError(
                 f"no capturing seed found for vertex {v}; "
-                "the incoming-ball search is incomplete"
+                "the candidate search is incomplete"
             )
         return anchor
 
@@ -483,7 +521,7 @@ class PartitionOracle:
         both exact tests leave it possible: ``w`` lies in the cluster of the
         anchor ``a``, and in no cluster of a seed that ``u``'s capture scan
         passed before reaching ``a`` (such a seed precedes ``a`` and would
-        anchor ``w`` first).  So no incoming ball is built for a vertex that
+        anchor ``w`` first).  So no capture scan is opened for a vertex that
         cannot join the piece.  An anchor already found is compared at once:
         on a warm engine the second test would cost more than it saves.
         """
@@ -493,13 +531,13 @@ class PartitionOracle:
         stack = [v]
         while stack:
             u = stack.pop()
-            ball, cursor, _ = self._capture[u]
+            seeds, cursor, _ = self._capture[u]
             for w in self.g.adjacency[u]:
                 if w in piece or w not in members:
                     continue
                 scan = self._capture.get(w)
                 if (scan is None or scan[2] is None) and any(
-                    w in self._seed_cluster[s] for s in ball[:cursor]  # built by the scan
+                    w in self._seed_cluster[s] for s in seeds[:cursor]  # built by the scan
                 ):
                     continue
                 if self.find_anchor(w) == a:

@@ -178,6 +178,21 @@ def test_tester_validates_arguments(bridge):
         run_tester(bridge, 0.1, accept_everything, trials=0)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.0])
+def test_library_counts_refuse_bools_and_floats(bridge, value):
+    """A bool is an int in Python; as a count it would run once (or never)
+    instead of failing, as the config files already refuse it."""
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 1 .*, got "):
+        run_tester(bridge, 0.1, accept_everything, trials=value)
+    config = bridge_tester_config(retries=value)
+    with pytest.raises(ValueError, match=r"^retries must be an integer >= 1 .*, got "):
+        run_tester(bridge, 0.1, accept_everything, config=config)
+    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1 or None, got "):
+        run_estimator(bridge, 0.1, SCORERS["matching"], samples=value)
+    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
+        estimate_cut_fraction(bridge, desk_context(bridge), samples=value)
+
+
 @pytest.mark.parametrize("value", [True, "0.5", -1, 1.5, float("nan")])
 def test_tester_refuses_a_cut_threshold_outside_the_unit_interval(bridge, value):
     config = bridge_tester_config(cut_threshold=value)

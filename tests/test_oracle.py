@@ -360,27 +360,26 @@ def test_engine_given_thresholds_refuses_findr_samples_beyond_desk_scale(bridge)
 
 def test_engines_on_one_graph_walk_in_turn_like_separate_runs():
     """Engines on one graph share its step scratch (two double-mode engines
-    with different bounds, one exact); advancing their walks in turn gives
-    each the vectors and reach sets of a run on a graph of its own."""
+    with different bounds, one exact); walking each source in turn on all
+    three, to t_s and to ell, gives each engine the vectors and reach sets
+    of a run on a graph of its own."""
     g = gen_grid(6, 6)
     contexts = [
         desk_context(g),
         desk_context(g, rho=0.02),
         desk_context(g, arithmetic="exact"),
     ]
-    ell = contexts[0].params.ell
     shared = [PartitionOracle(g, ctx) for ctx in contexts]
     in_turn: dict = {}
-    for t in range(1, ell):
-        for s in range(g.n):
-            for i, engine in enumerate(shared):
-                in_turn[i, s, t] = list(engine._walk_to(s, t)[1].items())
+    for s in range(g.n):
+        for i, engine in enumerate(shared):
+            in_turn[i, s] = list(engine.vec_at(s).items())
+            in_turn[i, s, "reach"] = set(engine.trajectory_masks(s))
     for i, ctx in enumerate(contexts):
         alone = PartitionOracle(gen_grid(6, 6), ctx)
         for s in range(g.n):
-            for t in range(1, ell):
-                assert list(alone._walk_to(s, t)[1].items()) == in_turn[i, s, t]
-            assert alone.trajectory_masks(s) == shared[i].trajectory_masks(s)
+            assert list(alone.vec_at(s).items()) == in_turn[i, s], (i, s)
+            assert alone.trajectory_masks(s) == in_turn[i, s, "reach"], (i, s)
 
 
 def golden_grid50() -> tuple[BoundedDegreeGraph, SeedContext, PhaseThresholds]:
@@ -417,11 +416,28 @@ def test_a_cold_query_reuses_the_graph_step_tables():
 def test_a_cold_query_walks_only_what_its_piece_needs():
     """A cold query asks for the anchor of no neighbour that the anchor's
     cluster, or an earlier seed's cluster, rules out.  Without that pruning
-    this query walks 249 sources and opens 42 capture scans."""
+    this query walks 43 sources and opens 42 capture scans."""
     g, ctx, thresholds = golden_grid50()
     cold = PartitionOracle(g, ctx, thresholds)
     piece = cold.find_partition(1275)
-    assert len(cold._walks) <= 204
+    assert len(cold._walks) <= 13
     assert len(cold._capture) <= 25
     reference = PartitionOracle(g, ctx, thresholds).global_partition()
     assert piece == piece_map(g, reference)[1275]
+
+
+def test_a_cold_query_builds_no_incoming_ball(monkeypatch):
+    """Capture scans walk candidate lists, so a cold piece query neither
+    searches an incoming ball nor walks a source on to ell."""
+    g, ctx, thresholds = golden_grid50()
+    calls = {"find_ib": 0, "trajectory_masks": 0}
+    for name in calls:
+        method = getattr(PartitionOracle, name)
+
+        def counted(self, v, name=name, method=method):
+            calls[name] += 1
+            return method(self, v)
+
+        monkeypatch.setattr(PartitionOracle, name, counted)
+    PartitionOracle(g, ctx, thresholds).find_partition(1275)
+    assert calls == {"find_ib": 0, "trajectory_masks": 0}

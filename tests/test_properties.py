@@ -1,10 +1,10 @@
 """Property tests: the global pass and the local oracle on random small graphs.
 
-Graphs are drawn from three bounded-degree families: random trees, grids
-with random edge deletions, and two cycles joined by a bridge.  Each
-property compares two engines that share nothing but the graph, the
-parameters and the master seed, or a fast path with its reference
-definition.
+Graphs are drawn from bounded-degree families: random trees, grids with
+random edge deletions, two cycles joined by a bridge, and triangulated
+grids.  Each property compares two engines that share nothing but the
+graph, the parameters and the master seed, or a fast path with its
+reference definition.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from partition_oracle import (
     BoundedDegreeGraph,
     PartitionOracle,
+    PhaseThresholds,
     SeedContext,
     gen_grid,
     gen_random_tree,
@@ -24,7 +25,7 @@ from partition_oracle import (
     truncate,
     truncated_diffusion,
 )
-from partition_oracle.diffusion import Diffuser
+from partition_oracle.diffusion import Diffuser, support_radius
 
 from conftest import brute_incoming_ball, desk_params, piece_map
 
@@ -191,7 +192,7 @@ def test_find_ib_matches_brute_force(g, ell):
         ball = oracle.find_ib(v)
         assert ball == brute_incoming_ball(g, params, v), v
         near = {v, *ball, *(w for u in ball for w in g.adjacency[u])}
-        assert set(oracle._walks) <= near, v
+        assert set(oracle._reach_sets) <= near, v
 
 
 @PROPERTY_SETTINGS
@@ -246,22 +247,21 @@ def tiny_graphs(draw) -> BoundedDegreeGraph:
 
 @PROPERTY_SETTINGS
 @given(tiny_graphs(), master_seeds, st.sampled_from(["double", "exact"]))
-def test_vec_at_resumes_one_walk(g, seed, arithmetic):
-    """``vec_at(s)`` is the t_s-step truncated diffusion, whether the
-    walk stopped at t_s or ran on to ell first, and finishing a walk from
-    t_s records the same reach set as running it from step 0: the union of
-    the supports at steps 0..ell."""
+def test_vec_at_and_reach_sets_match_the_reference_walks(g, seed, arithmetic):
+    """``vec_at(s)`` is the t_s-step truncated diffusion, and
+    ``trajectory_masks(s)`` is the union of the supports at steps 0..ell,
+    whichever of the two an engine asks for first."""
     params = desk_params(g.d, arithmetic=arithmetic)
     ctx = SeedContext(seed, params)
-    partial_first = PartitionOracle(g, ctx)
-    full_first = PartitionOracle(g, ctx)
+    vec_first = PartitionOracle(g, ctx)
+    reach_first = PartitionOracle(g, ctx)
     for s in range(g.n):
         t_s = ctx.walk_len_of(s)
         expected = truncated_diffusion(g, s, t_s, params.rho, exact=params.exact)
-        assert partial_first.vec_at(s) == expected, s
-        reached = full_first.trajectory_masks(s)
-        assert full_first.vec_at(s) == expected, s
-        assert partial_first.trajectory_masks(s) == reached, s
+        assert vec_first.vec_at(s) == expected, s
+        reached = reach_first.trajectory_masks(s)
+        assert reach_first.vec_at(s) == expected, s
+        assert vec_first.trajectory_masks(s) == reached, s
         assert reached == {
             u
             for t in range(params.ell + 1)
@@ -329,3 +329,115 @@ def test_fused_step_equals_the_reference_step(family, exact, data):
     vec = {v: one * m / 4 for v, m in enumerate(signed)}
     expected = truncate(lazy_step(g, vec, exact), signed_rho, exact)
     assert exactly(Diffuser(g, signed_rho, exact).step(vec)) == exactly(expected)
+
+
+# -- candidate lists, walk reach, and the two arithmetic modes -----------------
+
+def distances(g: BoundedDegreeGraph, s: int) -> dict[int, int]:
+    """Graph distance from ``s`` to every vertex it can reach."""
+    dist = {s: 0}
+    frontier = [s]
+    while frontier:
+        ring = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    ring.append(w)
+        frontier = ring
+    return dist
+
+
+@pytest.mark.parametrize("arithmetic", ["double", "exact"])
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(grids_with_deletions(), triangulated_grids(), trees()),
+    master_seeds,
+    st.data(),
+)
+def test_candidate_lists_hold_every_capturing_seed(arithmetic, g, seed, data):
+    """Every seed whose cluster contains ``u`` is on ``u``'s candidate
+    list, checked by brute force over all seeds.  The thresholds are drawn,
+    so clusters of every size occur, not only those findr would choose."""
+    params = desk_params(g.d, arithmetic=arithmetic)
+    phases = params.h_bar - 1
+    ks = data.draw(st.lists(st.integers(0, g.n), min_size=phases, max_size=phases))
+    oracle = PartitionOracle(g, SeedContext(seed, params), PhaseThresholds((*ks, 0)))
+    for s in range(g.n):
+        for u in oracle.seed_cluster(s):
+            assert s in oracle._candidates(u), (s, u)
+
+
+# Tail values P(Bin(t, 1/2) >= r) put rho on the inclusive boundary:
+# 1/2 (t = 1, r = 1), 11/1024 (t = 10, r = 9), 1351/2^20 (t = 20, r = 17).
+REACH_RHOS = [
+    0.001, 0.02, 0.07, 0.2, 0.4,
+    Fraction(1, 2), Fraction(11, 1024), Fraction(1351, 2 ** 20),
+]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_walk_supports_stay_within_reach(exact, data):
+    """For every source and every t <= ell, the support of the truncated
+    diffusion lies within graph distance reach(t) of the source.  The
+    single edge with d = 1 moves half the mass at each step, the most any
+    lazy step moves: with rho = 0.4 its support reaches distance 1 =
+    reach(1) at t = 1, and with rho = 1/2, on the boundary, reach(1) = 0
+    and the support is empty."""
+    edge = BoundedDegreeGraph.from_edges(2, 1, [(0, 1)])
+    g = data.draw(st.one_of(st.just(edge), graphs, triangulated_grids(), caterpillars()))
+    rho = data.draw(st.sampled_from(REACH_RHOS))
+    ell = data.draw(st.integers(1, 20))
+    for s in range(g.n):
+        dist = distances(g, s)
+        for t in range(ell + 1):
+            support = truncated_diffusion(g, s, t, rho, exact=exact)
+            reach = support_radius(t, rho)
+            assert all(dist[v] <= reach for v in support), (s, t)
+    assert support_radius(1, 0.4) == 1 and support_radius(1, Fraction(1, 2)) == 0
+    assert set(truncated_diffusion(edge, 0, 1, 0.4, exact=exact)) == {0, 1}
+    assert truncated_diffusion(edge, 0, 1, Fraction(1, 2), exact=exact) == {}
+
+
+@st.composite
+def paths(draw) -> BoundedDegreeGraph:
+    n = draw(st.integers(1, 30))
+    return BoundedDegreeGraph.from_edges(n, 2, [(i, i + 1) for i in range(n - 1)])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(grids_with_deletions(), paths()), master_seeds)
+def test_exact_and_double_agree_where_2d_is_a_power_of_two(g, seed):
+    """With 2d a power of two (grids, paths), double mode ranks the sweeps
+    as exact mode does, so the global pass chooses the same thresholds and
+    anchors in both modes."""
+    runs = [
+        PartitionOracle(g, SeedContext(seed, desk_params(g.d, arithmetic=mode)))
+        for mode in ("exact", "double")
+    ]
+    exact_run, double_run = (engine.global_partition() for engine in runs)
+    assert double_run.anchors == exact_run.anchors
+    assert runs[1].thresholds() == runs[0].thresholds()
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(triangulated_grids(), trees()), master_seeds)
+def test_double_mode_reorders_sweeps_only_within_exact_ties(g, seed):
+    """Where 2d is not a power of two (triangulated grids, trees with d = 3),
+    roundoff can order masses that are tied exactly, where exact mode falls
+    back to ids.  Every seed's two sweep orders still list the same exact
+    masses position by position: the reordered ids of any seed whose orders
+    differ are tied in exact mode."""
+    exact_engine, double_engine = (
+        PartitionOracle(g, SeedContext(seed, desk_params(g.d, arithmetic=mode)))
+        for mode in ("exact", "double")
+    )
+    for s in range(g.n):
+        exact_vec = exact_engine.vec_at(s)
+        exact_order = exact_engine._scan(s).order
+        double_order = double_engine._scan(s).order
+        assert [exact_vec.get(v) for v in double_order] == [
+            exact_vec[v] for v in exact_order
+        ], s
