@@ -5,6 +5,8 @@ mass.  Two arithmetic modes are supported: exact rationals
 (:class:`fractions.Fraction` values) for small verification runs, and doubles
 for benchmark-scale runs.  Double-mode results are deterministic across
 platforms because every accumulation happens in ascending vertex-id order.
+``support_radius`` bounds how far from its start a truncated diffusion of
+t steps can put mass, from the degree cap alone.
 """
 from __future__ import annotations
 
@@ -145,32 +147,72 @@ class Diffuser:
         return out
 
 
-def support_radius(t: int, rho: Mass) -> int:
-    """reach(t): no ``t``-step truncated diffusion with threshold ``rho`` has
-    support farther than this graph distance from its start.
+# Per (rho, d): the chain's scaled masses at the last step grown, and the
+# radius of every step so far (see ``support_radius``).  A table is only
+# ever replaced whole, so callers in other threads see a complete one.
+_REACH_TABLES: dict[tuple[Fraction, int], tuple[list[int], tuple[int, ...]]] = {}
 
-    It is the largest r with P(Bin(t, 1/2) >= r) > rho, computed in exact
-    integer arithmetic.  Sound because each lazy step moves mass off a
-    vertex with probability deg/(2d) <= 1/2, so the untruncated mass at
-    distance r after t steps is at most that binomial tail; truncation only
-    lowers masses, and it removes masses <= rho, boundary included.  Double
-    mode keeps a relative slack of 1e-12 on the bound, far above the
-    roundoff of a walk, so a kept double mass has exact mass above rho too.
-    For rho = 0.001, reach(20) = 17 and reach(10) = 9.
+
+def support_radius(t: int, rho: Mass, d: int) -> int:
+    """reach(t): no ``t``-step truncated diffusion with threshold ``rho`` on
+    a graph of degree cap ``d`` has support farther than this graph
+    distance from its start.
+
+    Let D_t be the distance of the untruncated lazy walk from its source.
+    From the source the walk moves out with probability deg/(2d) <= 1/2.
+    From distance j >= 1 at least one neighbour (the one a shortest path
+    comes through) lies at j - 1, so the walk moves out with probability at
+    most (d - 1)/(2d) and back with probability at least 1/(2d).  So D_t
+    is stochastically dominated by the birth-death chain Y that at 0 moves
+    out with probability 1/2 and stays otherwise, and at j >= 1 moves out
+    with (d - 1)/(2d), back with 1/(2d) and stays with 1/2: Y is
+    stochastically monotone, and an induction on t gives
+    P(D_t >= r) <= P(Y_t >= r).  The untruncated mass at distance >= r is
+    P(D_t >= r); truncation only lowers masses, and it removes masses
+    <= rho, boundary included.  Double mode keeps a relative slack of
+    1e-12 on the bound, far above the roundoff of a walk, so a kept double
+    mass has exact mass above rho too.  So reach(t) is the largest r with
+    P(Y_t >= r) > rho, or 0 when there is none.
+
+    Y never moves out faster than Bin(t, 1/2), so this radius is at most
+    the binomial one.  For rho = 0.001 and d = 4, reach(20) = 14 (17 by
+    the binomial) and reach(10) = 9; for d = 2, 3 and 6, reach(20) is 10,
+    13 and 15.
+
+    The chain's masses after t steps are integers over (2d)^t, so the test
+    is exact.  One table per (rho, d), kept for the process, grows step by
+    step and keeps every radius, so each step costs O(t) integer operations
+    once: under 1 ms to reach t = 20, about 20 ms to 200 and under 1 s to 1,000
+    (Python 3.11, one core).
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
+    if d < 1:
+        raise ValueError(f"degree cap must be >= 1, got {d}")
     bound = exact_number(rho)
-    # With tail = sum of C(t, i) for i >= r, P(Bin(t, 1/2) >= r) > rho
-    # reads tail * rho.den > rho.num * 2^t.
-    limit = bound.numerator << t
-    term = tail = 1  # C(t, t)
-    for r in range(t, 0, -1):
-        if tail * bound.denominator > limit:
-            return r
-        term = term * r // (t - r + 1)  # C(t, r - 1)
-        tail += term
-    return 0
+    y, radii = _REACH_TABLES.get((bound, d), ([1], (0,)))
+    if t < len(radii):
+        return radii[t]
+    grown = list(radii)
+    while len(grown) <= t:
+        # P(Y = j) was y[j] / (2d)^(step - 1); it becomes y[j] / (2d)^step.
+        # In units of 1/(2d), Y stays with d and moves back with 1, and
+        # moves out with d from 0 and d - 1 from farther.
+        step = len(grown)
+        p = y + [0, 0]
+        y = [d * p[0] + p[1], d * p[0] + d * p[1] + p[2]]
+        y += [(d - 1) * p[j - 1] + d * p[j] + p[j + 1] for j in range(2, step + 1)]
+        # P(Y >= r) > rho reads tail * rho.den > rho.num * (2d)^step.
+        limit = bound.numerator * (2 * d) ** step
+        tail, r = 0, step
+        while r > 0:
+            tail += y[r]
+            if tail * bound.denominator > limit:
+                break
+            r -= 1
+        grown.append(r)
+    _REACH_TABLES[bound, d] = (y, tuple(grown))
+    return grown[t]
 
 
 def truncated_diffusion(

@@ -8,8 +8,12 @@ query returns precisely the piece the global procedure would assign.  The
 seed, one cluster per seed, and one resumable capture scan per vertex, which
 answers both ``is_free`` and ``find_anchor``.  A capture scan walks the
 vertex's candidate list: the seeds close enough that their walks can reach
-it, found by a breadth-first search.  Batches of local queries share all of
-it.
+it, found by a breadth-first search.  How far a walk of t steps can reach,
+reach(t), is ``diffusion.support_radius``, a bound that uses the degree
+cap: a walk moves outward at most as fast as a birth-death chain that
+steps out with probability 1/2 only from its start.  Batches of local
+queries share all of it.  Public methods check the vertex ids they are
+given; the inner paths (findr's free test, the piece search) do not.
 """
 from __future__ import annotations
 
@@ -203,8 +207,9 @@ class PartitionOracle:
         self._scans: dict[int, SweepScan] = {}
         # Per source, for find_ib only: the reach set of its walk to ell.
         self._reach_sets: dict[int, set[int]] = {}
-        # Per walk length t: reach(t), the farthest its support can lie.
-        self._radius: dict[int, int] = {}
+        # reach(t) for t = 0..ell, the farthest a t-step support can lie;
+        # filled by the first candidate search.
+        self._radii: list[int] = []
         # Per seed: its cluster at t_s and k_{h_s}.
         self._seed_cluster: dict[int, frozenset] = {}
         # Per vertex: [candidate list in processing order, cursor, anchor].
@@ -236,8 +241,17 @@ class PartitionOracle:
             self._walk(w, self.params.ell, reached)
         return reached
 
+    def _vertex(self, v: int) -> int:
+        """``v`` itself, checked where a caller hands the engine a vertex id."""
+        if not is_integer(v) or not 0 <= v < self.g.n:
+            raise ValueError(f"vertex id must be an int in [0, {self.g.n}), got {v!r}")
+        return v
+
     def vec_at(self, s: int) -> MassVector:
         """The truncated diffusion from ``s`` after its walk length t_s."""
+        return self._vec_at(self._vertex(s))
+
+    def _vec_at(self, s: int) -> MassVector:
         p = self._walks.get(s)
         if p is None:
             p = self._walks[s] = self._walk(s, self.ctx.walk_len_of(s))
@@ -246,12 +260,13 @@ class PartitionOracle:
     def _scan(self, s: int) -> SweepScan:
         scan = self._scans.get(s)
         if scan is None:
-            scan = SweepScan(self.g, self.vec_at(s), s)
+            scan = SweepScan(self.g, self._vec_at(s), s)
             self._scans[s] = scan
         return scan
 
     def cluster_at(self, s: int, k: int) -> VertexSet:
         """cluster(s, t_s, k), backed by the per-seed sweep cache."""
+        self._vertex(s)
         return self._scan(s).cluster(self._phi, k) if k > 0 else (s,)
 
     # -- thresholds (findr) -------------------------------------------------
@@ -266,7 +281,8 @@ class PartitionOracle:
 
         Phase j < h_bar is chosen by ``threshold_search`` with ``free_test``
         as the free test when j == h and it is given, else with
-        ``is_free(u, j)``; k_h_bar is 0.  The list ``_ks`` grows only here.
+        ``_free(u, j)``, which is ``is_free`` without its checks; k_h_bar
+        is 0.  The list ``_ks`` grows only here.
 
         The search for phase j may run inside a capture scan (a seed of
         phase j asks for its cluster), and it calls back into capture scans.
@@ -283,7 +299,7 @@ class PartitionOracle:
             if j == self.params.h_bar:
                 ks.append(0)
                 continue
-            test = free_test if free_test and j == h else lambda u: self.is_free(u, j)
+            test = free_test if free_test and j == h else lambda u: self._free(u, j)
             summary, _ = self.threshold_search(j, test, self.params.k_candidates)
             ks.append(summary["chosen_k"])
         return ks[h - 1]
@@ -401,7 +417,7 @@ class PartitionOracle:
 
     def seed_cluster(self, s: int) -> VertexSet:
         """cluster(s, t_s, k_{h_s}): the cluster ``s`` grows as a seed."""
-        return tuple(sorted(self._seed_set(s)))
+        return tuple(sorted(self._seed_set(self._vertex(s))))
 
     def _seed_set(self, s: int) -> frozenset:
         c = self._seed_cluster.get(s)
@@ -429,43 +445,45 @@ class PartitionOracle:
                         ball.append(w)
         return tuple(sorted(ball))
 
-    def _reach(self, t: int) -> int:
-        """reach(t) (``support_radius``), memoised per walk length met."""
-        r = self._radius.get(t)
-        if r is None:
-            r = self._radius[t] = support_radius(t, self.params.rho)
-        return r
-
     def _candidates(self, u: int) -> list[int]:
         """``u`` and every seed that can capture it, in processing order.
 
         A seed's cluster lies in the support of its walk at t_s, plus the
-        seed, and that support lies within reach(t_s) of the seed.  So the
-        list holds ``u`` and every seed ``s`` of phase < h_bar with
-        dist(s, u) <= reach(t_s), found by one breadth-first search from
-        ``u`` to radius reach(ell).  Other seeds of phase h_bar have
-        singleton clusters and are left out.
+        seed, and that support lies within reach(t_s) of the seed
+        (``support_radius``).  So the list holds ``u`` and every seed ``s``
+        of phase < h_bar with dist(s, u) <= reach(t_s), found by one
+        breadth-first search from ``u`` to radius reach(ell).  Other seeds
+        of phase h_bar have singleton clusters and are left out.  A vertex
+        whose phase and walk length are memoised costs no call: the search
+        reads the memos of the seed context directly.
         """
-        phase_of, walk_len_of = self.ctx.phase_of, self.ctx.walk_len_of
-        reach, h_bar, adjacency = self._reach, self.params.h_bar, self.g.adjacency
-        by_phase: dict[int, list[int]] = {phase_of(u): [u]}
+        radii = self._radii
+        if not radii:
+            rho, d = exact_number(self.params.rho), self.g.d
+            radii[:] = [support_radius(t, rho, d) for t in range(self.params.ell + 1)]
+        ctx = self.ctx
+        phases, walk_lens = ctx._phase_memo, ctx._walk_memo
+        phase_of, walk_len_of = ctx.phase_of, ctx.walk_len_of
+        h_bar, adjacency = self.params.h_bar, self.g.adjacency
+        found = [(phase_of(u), u)]
         seen = {u}
         frontier = [u]
-        for r in range(1, reach(self.params.ell) + 1):
-            if not frontier:
-                break
+        for r in range(1, radii[-1] + 1):
             ring = []
             for w in frontier:
                 for x in adjacency[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        ring.append(x)
-            for x in ring:
-                h = phase_of(x)
-                if h < h_bar and r <= reach(walk_len_of(x)):
-                    by_phase.setdefault(h, []).append(x)
+                    if x in seen:
+                        continue
+                    seen.add(x)
+                    ring.append(x)
+                    h = phases.get(x) or phase_of(x)
+                    if h < h_bar and r <= radii[walk_lens.get(x) or walk_len_of(x)]:
+                        found.append((h, x))
+            if not ring:
+                break
             frontier = ring
-        return [s for h in sorted(by_phase) for s in sorted(by_phase[h])]
+        found.sort()
+        return [x for _, x in found]
 
     def _capturer(self, u: int, h: int) -> int | None:
         """Resume the capture scan of ``u`` through the seeds of phases < ``h``.
@@ -499,6 +517,10 @@ class PartitionOracle:
         """
         if not 1 <= h <= self.params.h_bar:
             raise ValueError(f"phase {h} outside [1, {self.params.h_bar}]")
+        return self._free(self._vertex(u), h)
+
+    def _free(self, u: int, h: int) -> bool:
+        """``is_free`` without the checks: findr's free test."""
         if h == 1:
             return True
         anchor = self._capturer(u, h)
@@ -506,6 +528,9 @@ class PartitionOracle:
 
     def find_anchor(self, v: int) -> int:
         """The first seed in processing order whose cluster contains ``v``."""
+        return self._anchor(self._vertex(v))
+
+    def _anchor(self, v: int) -> int:
         anchor = self._capturer(v, self.params.h_bar + 1)
         if anchor is None:
             raise RuntimeError(
@@ -540,7 +565,7 @@ class PartitionOracle:
                     w in self._seed_cluster[s] for s in seeds[:cursor]  # built by the scan
                 ):
                     continue
-                if self.find_anchor(w) == a:
+                if self._anchor(w) == a:
                     piece.add(w)
                     stack.append(w)
         return tuple(sorted(piece))

@@ -16,6 +16,7 @@ from .diffusion import exact_number
 from .params import OracleParams
 
 _MASK64 = (1 << 64) - 1
+_TWO_53 = float(1 << 53)
 
 # Below this, 1 - delta loses enough float precision that the geometric
 # inverse CDF is computed with rational arithmetic instead.
@@ -23,8 +24,34 @@ _FLOAT_DELTA_FLOOR = 1e-9
 
 
 def _encode_index(i: int) -> bytes:
-    data = i.to_bytes((max(i.bit_length(), 1) + 7) // 8, "little", signed=False)
-    return b"\x1f" + bytes([len(data)]) + data
+    if type(i) is not int or i < 0:  # bools too: True would alias 1
+        raise ValueError(f"hash index must be a nonnegative int, got {i!r}")
+    size = (i.bit_length() + 7) >> 3 or 1
+    # 0x1f, the byte count, then the bytes of i, little-endian.
+    return ((i << 16) | (size << 8) | 0x1F).to_bytes(size + 2, "little")
+
+
+def _draw_below(upper: int, keyed) -> int:
+    """``SeedContext.below`` once the key, tag and indices are in ``keyed``.
+
+    Each retry appends an attempt counter to the hash key, so the result
+    stays a pure function of (seed, tag, indices).
+    """
+    if upper == 1:
+        return 0
+    bits = (upper - 1).bit_length()
+    blocks = (bits + 63) // 64
+    attempt = 0
+    while True:
+        value = 0
+        for b in range(blocks):
+            h = keyed.copy()
+            h.update(_encode_index(attempt) + _encode_index(b))
+            value = (value << 64) | int.from_bytes(h.digest(), "little")
+        value >>= blocks * 64 - bits
+        if value < upper:
+            return value
+        attempt += 1
 
 
 def geometric_from_uniform(u: float, delta, h_bar: int) -> int:
@@ -56,63 +83,71 @@ def check_master_seed(seed: int) -> int:
 
 
 class SeedContext:
-    """Master seed plus parameters; hands out all per-vertex randomness."""
+    """Master seed plus parameters; hands out all per-vertex randomness.
+
+    Every value is BLAKE2b keyed by the master seed over the tag and the
+    indices.  The context keeps the hash state after key and tag, one per
+    tag, and copies it per value; phases and walk lengths are hashed that
+    way directly and memoised.
+    """
 
     def __init__(self, master_seed: int, params: OracleParams):
         self.master_seed = check_master_seed(master_seed)
         self.params = params
         self._key = master_seed.to_bytes(8, "little")
+        self._prefixes: dict[str, object] = {}
+        self._phase_prefix = self._prefix("phase")
+        self._walk_prefix = self._prefix("walk")
         self._phase_memo: dict[int, int] = {}
         self._walk_memo: dict[int, int] = {}
 
-    def u64(self, tag: str, *indices: int) -> int:
-        h = hashlib.blake2b(digest_size=8, key=self._key)
-        h.update(tag.encode("ascii"))
+    def _prefix(self, tag: str):
+        """The hash state after the key and ``tag``; copy it before use."""
+        h = self._prefixes.get(tag)
+        if h is None:
+            h = hashlib.blake2b(digest_size=8, key=self._key)
+            h.update(tag.encode("ascii"))
+            self._prefixes[tag] = h
+        return h
+
+    def _keyed(self, tag: str, indices: tuple[int, ...]):
+        h = self._prefix(tag).copy()
         for i in indices:
             h.update(_encode_index(i))
-        return int.from_bytes(h.digest(), "little")
+        return h
+
+    def u64(self, tag: str, *indices: int) -> int:
+        return int.from_bytes(self._keyed(tag, indices).digest(), "little")
 
     def uniform(self, tag: str, *indices: int) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.u64(tag, *indices) >> 11) / float(1 << 53)
+        return (self.u64(tag, *indices) >> 11) / _TWO_53
 
     def below(self, upper: int, tag: str, *indices: int) -> int:
-        """Exact uniform integer in [0, upper) by rejection sampling.
-
-        Each retry appends an attempt counter to the hash key, so the result
-        stays a pure function of (seed, tag, indices).
-        """
+        """Exact uniform integer in [0, upper) by rejection sampling."""
         if upper < 1:
             raise ValueError(f"upper bound must be >= 1, got {upper}")
-        if upper == 1:
-            return 0
-        bits = (upper - 1).bit_length()
-        blocks = (bits + 63) // 64
-        attempt = 0
-        while True:
-            value = 0
-            for b in range(blocks):
-                value = (value << 64) | self.u64(tag, *indices, attempt, b)
-            value >>= blocks * 64 - bits
-            if value < upper:
-                return value
-            attempt += 1
+        return _draw_below(upper, self._keyed(tag, indices))
 
     def phase_of(self, v: int) -> int:
-        """The phase h_v in [1, h_bar]: capped geometric with rate delta."""
+        """The phase h_v in [1, h_bar]: capped geometric with rate delta,
+        from ``uniform("phase", v)``."""
         h = self._phase_memo.get(v)
         if h is None:
-            u = self.uniform("phase", v)
+            keyed = self._phase_prefix.copy()
+            keyed.update(_encode_index(v))
+            u = (int.from_bytes(keyed.digest(), "little") >> 11) / _TWO_53
             h = geometric_from_uniform(u, self.params.delta, self.params.h_bar)
             self._phase_memo[v] = h
         return h
 
     def walk_len_of(self, v: int) -> int:
-        """The walk length t_v, uniform in [1, ell]."""
+        """The walk length t_v, uniform in [1, ell]: ``below(ell, "walk", v) + 1``."""
         t = self._walk_memo.get(v)
         if t is None:
-            t = self.below(self.params.ell, "walk", v) + 1
-            self._walk_memo[v] = t
+            keyed = self._walk_prefix.copy()
+            keyed.update(_encode_index(v))
+            t = self._walk_memo[v] = _draw_below(self.params.ell, keyed) + 1
         return t
 
     def sample_vertex(self, n: int, tag: str, *indices: int) -> int:

@@ -292,7 +292,8 @@ def test_differential_check_reports_a_threshold_mismatch(bridge, monkeypatch):
     assert reference.thresholds().k[0] == 3
 
     # A local free test that frees nothing makes every local threshold 0.
-    monkeypatch.setattr(PartitionOracle, "is_free", lambda self, u, h: False)
+    # findr tests freeness through ``_free``, ``is_free`` without the checks.
+    monkeypatch.setattr(PartitionOracle, "_free", lambda self, u, h: False)
     report = differential_check(bridge, desk_context(bridge))
     assert not report.ok
     assert report.first_divergence == {"phase": 1, "local": 0, "global": 3}

@@ -265,6 +265,23 @@ def test_is_free_validates_phase(bridge):
     assert engine.is_free(0, 1)
 
 
+@pytest.mark.parametrize("v", [True, False, -1, 8, 2 ** 64])
+@pytest.mark.parametrize("query", [
+    lambda engine, v: engine.find_anchor(v),
+    lambda engine, v: engine.find_partition(v),
+    lambda engine, v: engine.is_free(v, 2),
+    lambda engine, v: engine.seed_cluster(v),
+    lambda engine, v: engine.vec_at(v),
+    lambda engine, v: engine.cluster_at(v, 3),
+], ids=["find_anchor", "find_partition", "is_free", "seed_cluster", "vec_at", "cluster_at"])
+def test_engine_vertex_ids_outside_the_graph_are_rejected(bridge, query, v):
+    """A bool would alias vertex 0 or 1, and an id outside [0, n) would
+    answer for a vertex that is not there or fail deep in a walk."""
+    engine = PartitionOracle(bridge, desk_context(bridge))
+    with pytest.raises(ValueError, match=rf"^vertex id must be an int in \[0, 8\), got {v}$"):
+        query(engine, v)
+
+
 # --------------------------------------------------- anchors and local pieces
 
 def test_find_anchor_returns_the_minimal_capturing_seed(bridge):
@@ -416,11 +433,11 @@ def test_a_cold_query_reuses_the_graph_step_tables():
 def test_a_cold_query_walks_only_what_its_piece_needs():
     """A cold query asks for the anchor of no neighbour that the anchor's
     cluster, or an earlier seed's cluster, rules out.  Without that pruning
-    this query walks 43 sources and opens 42 capture scans."""
+    this query walks 36 sources and opens 42 capture scans."""
     g, ctx, thresholds = golden_grid50()
     cold = PartitionOracle(g, ctx, thresholds)
     piece = cold.find_partition(1275)
-    assert len(cold._walks) <= 13
+    assert len(cold._walks) <= 11
     assert len(cold._capture) <= 25
     reference = PartitionOracle(g, ctx, thresholds).global_partition()
     assert piece == piece_map(g, reference)[1275]

@@ -8,6 +8,9 @@ reference definition.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,11 +24,13 @@ from partition_oracle import (
     gen_grid,
     gen_random_tree,
     gen_triangulated_grid,
+    geometric_from_uniform,
     lazy_step,
     truncate,
     truncated_diffusion,
 )
-from partition_oracle.diffusion import Diffuser, support_radius
+from partition_oracle.diffusion import Diffuser, exact_number, support_radius
+from partition_oracle.seeds import _FLOAT_DELTA_FLOOR
 
 from conftest import brute_incoming_ball, desk_params, piece_map
 
@@ -368,11 +373,15 @@ def test_candidate_lists_hold_every_capturing_seed(arithmetic, g, seed, data):
             assert s in oracle._candidates(u), (s, u)
 
 
-# Tail values P(Bin(t, 1/2) >= r) put rho on the inclusive boundary:
-# 1/2 (t = 1, r = 1), 11/1024 (t = 10, r = 9), 1351/2^20 (t = 20, r = 17).
+# Tail values put rho on the inclusive boundary.  Binomial tails
+# P(Bin(t, 1/2) >= r): 1/2 (t = 1, r = 1), 11/1024 (t = 10, r = 9),
+# 1351/2^20 (t = 20, r = 17).  Tails P(Y_t >= r) of support_radius's
+# chain: d = 4, t = 20, r = 14, and d = 6, t = 20, r = 15.
 REACH_RHOS = [
     0.001, 0.02, 0.07, 0.2, 0.4,
     Fraction(1, 2), Fraction(11, 1024), Fraction(1351, 2 ** 20),
+    Fraction(467693448336135, 2 ** 58),
+    Fraction(371712481689453125, 212986666247081951232),
 ]
 
 
@@ -394,11 +403,131 @@ def test_walk_supports_stay_within_reach(exact, data):
         dist = distances(g, s)
         for t in range(ell + 1):
             support = truncated_diffusion(g, s, t, rho, exact=exact)
-            reach = support_radius(t, rho)
+            reach = support_radius(t, rho, g.d)
             assert all(dist[v] <= reach for v in support), (s, t)
-    assert support_radius(1, 0.4) == 1 and support_radius(1, Fraction(1, 2)) == 0
+    assert support_radius(1, 0.4, 1) == 1 and support_radius(1, Fraction(1, 2), 1) == 0
     assert set(truncated_diffusion(edge, 0, 1, 0.4, exact=exact)) == {0, 1}
     assert truncated_diffusion(edge, 0, 1, Fraction(1, 2), exact=exact) == {}
+
+
+def chain_laws(d: int, steps: int) -> list[dict[int, Fraction]]:
+    """The law of support_radius's chain Y after t = 0..steps moves, by
+    enumerating every sequence of moves (out, stay, back)."""
+    def moves(j: int) -> list[tuple[int, Fraction]]:
+        if j == 0:
+            return [(1, Fraction(1, 2)), (0, Fraction(1, 2))]
+        return [(j + 1, Fraction(d - 1, 2 * d)), (j, Fraction(1, 2)), (j - 1, Fraction(1, 2 * d))]
+
+    laws = []
+    paths_now = [(0, Fraction(1))]
+    for t in range(steps + 1):
+        if t:
+            paths_now = [(k, p * q) for j, p in paths_now for k, q in moves(j) if q]
+        law: dict[int, Fraction] = {}
+        for j, p in paths_now:
+            law[j] = law.get(j, 0) + p
+        laws.append(law)
+    return laws
+
+
+def binomial_radius(t: int, rho: Fraction) -> int:
+    """The largest r with P(Bin(t, 1/2) >= r) > rho, or 0."""
+    tails = [Fraction(sum(math.comb(t, i) for i in range(r, t + 1)), 2 ** t)
+             for r in range(t + 1)]
+    return max((r for r in range(t + 1) if tails[r] > rho), default=0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_reach_table_matches_the_enumerated_chain(d):
+    """For t <= 8, support_radius is the largest r with P(Y_t >= r) > rho
+    for rho at every tail value of Y_t (on the boundary) and just below."""
+    for t, law in enumerate(chain_laws(d, 8)):
+        assert sum(law.values()) == 1
+        tails = [sum(p for j, p in law.items() if j >= r) for r in range(t + 2)]
+        for q in tails[1:]:
+            for rho in (q, q - Fraction(1, 10 ** 30)):
+                expected = max((r for r in range(t + 1) if tails[r] > rho), default=0)
+                assert support_radius(t, rho, d) == expected, (t, rho)
+
+
+def test_reach_is_never_above_the_binomial_radius():
+    for d in range(1, 9):
+        for rho in map(exact_number, REACH_RHOS):
+            for t in range(41):
+                assert support_radius(t, rho, d) <= binomial_radius(t, rho), (d, rho, t)
+
+
+def test_reach_hand_values():
+    assert binomial_radius(20, Fraction(1, 1000)) == 17
+    assert [support_radius(t, 0.001, 4) for t in (10, 20)] == [9, 14]
+    assert [support_radius(20, 0.001, d) for d in (2, 3, 6)] == [10, 13, 15]
+    assert support_radius(0, 0.001, 4) == 0
+    with pytest.raises(ValueError, match="step count"):
+        support_radius(-1, 0.001, 4)
+    with pytest.raises(ValueError, match="degree cap"):
+        support_radius(3, 0.001, 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(grids_with_deletions(), triangulated_grids(), trees()), master_seeds)
+def test_candidate_lists_equal_their_definition(g, seed):
+    """Each candidate list is exactly u plus every seed s of phase < h_bar
+    with dist(s, u) <= reach(t_s), in processing order."""
+    params = desk_params(g.d)
+    oracle = PartitionOracle(g, SeedContext(seed, params))
+    ctx = SeedContext(seed, params)
+    dist = {s: distances(g, s) for s in range(g.n)}
+    for u in range(g.n):
+        expected = [
+            s for s in sorted(range(g.n), key=ctx.order_key)
+            if s == u or (
+                ctx.phase_of(s) < params.h_bar
+                and dist[s].get(u, math.inf) <= support_radius(ctx.walk_len_of(s), params.rho, g.d)
+            )
+        ]
+        assert oracle._candidates(u) == expected, u
+
+
+def reference_u64(seed: int, tag: str, *indices: int) -> int:
+    """Keyed BLAKE2b over the tag and each index as 0x1f, length, bytes."""
+    h = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    h.update(tag.encode("ascii"))
+    for i in indices:
+        data = i.to_bytes(max(1, (i.bit_length() + 7) // 8), "little")
+        h.update(bytes([0x1F, len(data)]) + data)
+    return int.from_bytes(h.digest(), "little")
+
+
+def reference_below(seed: int, upper: int, tag: str, *indices: int) -> int:
+    """Rejection sampling over 64-bit blocks, keyed by attempt and block."""
+    bits = (upper - 1).bit_length()
+    blocks = (bits + 63) // 64
+    for attempt in itertools.count():
+        value = 0
+        for b in range(blocks):
+            value = (value << 64) | reference_u64(seed, tag, *indices, attempt, b)
+        value >>= blocks * 64 - bits
+        if value < upper:
+            return value
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("delta", [_FLOAT_DELTA_FLOOR / 1000, 0.05, 1.0])
+def test_seed_hashes_equal_a_keyed_blake2b_reference(seed, delta):
+    """Phases, walk lengths, ``u64`` and ``below`` are keyed BLAKE2b values:
+    a phase is ``geometric_from_uniform`` of the top 53 bits of its hash,
+    on each of that function's three branches of delta."""
+    params = desk_params(4, delta=delta, ell=13)
+    ctx = SeedContext(seed, params)
+    for v in [*range(300), 65535, 65536, 2 ** 64]:
+        u = (reference_u64(seed, "phase", v) >> 11) / 2 ** 53
+        assert ctx.phase_of(v) == geometric_from_uniform(u, delta, params.h_bar), v
+        assert ctx.walk_len_of(v) == reference_below(seed, 13, "walk", v) + 1, v
+    for indices in [(), (0,), (3, 0), (0, 3), (2 ** 70, 1)]:
+        assert ctx.u64("x", *indices) == reference_u64(seed, "x", *indices)
+    for upper in (1, 2, 3, 1000, 2 ** 64, 2 ** 64 + 1, 3 * 2 ** 100):
+        for i in range(20):
+            assert ctx.below(upper, "b", i) == reference_below(seed, upper, "b", i)
 
 
 @st.composite

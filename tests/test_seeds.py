@@ -66,6 +66,21 @@ def test_below_handles_bounds_wider_than_64_bits():
     assert any(x > 1 << 64 for x in draws)
 
 
+@pytest.mark.parametrize("index", [-1, -(2 ** 70), True, False])
+@pytest.mark.parametrize("draw", [
+    lambda ctx, i: ctx.u64("x", 3, i),
+    lambda ctx, i: ctx.uniform("x", i),
+    lambda ctx, i: ctx.below(10, "x", i),
+    lambda ctx, i: ctx.phase_of(i),
+    lambda ctx, i: ctx.walk_len_of(i),
+], ids=["u64", "uniform", "below", "phase_of", "walk_len_of"])
+def test_negative_and_bool_hash_indices_are_rejected_not_aliased(draw, index):
+    """True would hash as 1 and False as 0; a negative index has no
+    encoding.  Each fails with one error line that names it."""
+    with pytest.raises(ValueError, match=rf"hash index .*got {index}$"):
+        draw(make_ctx(), index)
+
+
 def test_geometric_inverse_cdf_small_cases():
     # X = min{m >= 1 : u < 1 - (1-delta)^m}
     assert geometric_from_uniform(0.0, 0.5, 10) == 1
