@@ -131,17 +131,15 @@ def leaky_census(
     """
     check_desk_scale(params)
     free = frozenset(F)
-    exact = params.exact
     alpha_sq = exact_number(params.alpha) ** 2
     phi_bound = Fraction(1) / (g.d * exact_number(params.ell ** (1 / 3)))
     k_cap = params.k_cap
 
     rows: list[dict] = []
     non_leaking = 0
-    step = Diffuser(g, params.rho, exact).step
-    p = {s: Fraction(1) if exact else 1.0}
-    for t in range(1, params.ell + 1):
-        p = step(p)
+    walk = Diffuser(g, params.rho, params.exact).walk(s, params.ell)
+    next(walk)  # t = 0: the start vector is no timestep
+    for t, p in enumerate(walk, start=1):
         scan = SweepScan(g, p, s)
         certificate: int | None = None
         cert_phi: Fraction | None = None
@@ -188,17 +186,16 @@ def good_seed_census(
         raise ValueError("the free set must contain at least one vertex")
     check_desk_scale(params)
     free = frozenset(F)
-    exact = params.exact
     beta = exact_number(params.beta)
     mass_bound = beta / 16
     step_quota = beta * params.ell / 8
-    step = Diffuser(g, params.rho, exact).step
+    diffuser = Diffuser(g, params.rho, params.exact)
     count = 0
     for s in sorted(free):
-        p = {s: Fraction(1) if exact else 1.0}
+        walk = diffuser.walk(s, params.ell)
+        next(walk)  # t = 0: the start vector is no timestep
         good_steps = 0
-        for _ in range(params.ell):
-            p = step(p)
+        for p in walk:
             mass_in_free = sum(mass for u, mass in p.items() if u in free)
             if Fraction(mass_in_free) >= mass_bound:
                 good_steps += 1

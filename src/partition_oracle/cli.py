@@ -326,17 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def inputs(p: argparse.ArgumentParser, overrides: bool = True) -> None:
         p.add_argument("--graph", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=0.1)
-        p.add_argument("--mode", choices=("paper", "explicit"), default="explicit")
-        p.add_argument("--set", action="append", metavar="KEY=VAL",
-                       help="parameter override (k_max expands to k_candidates)")
+        if overrides:
+            p.add_argument("--mode", choices=("paper", "explicit"), default="explicit")
+            p.add_argument("--set", action="append", metavar="KEY=VAL",
+                           help="parameter override (k_max expands to k_candidates)")
+        else:  # parameters come from a config file; the resolved config still names these
+            p.set_defaults(mode="explicit", set=None)
+
+    def output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("partition", help="partition the whole graph and report the cut")
-    common(p)
+    inputs(p)
+    output(p)
     p.add_argument("--global", dest="use_global", action="store_true",
                    help="use the phase-by-phase global procedure instead of per-vertex queries")
     p.add_argument("--check", action="store_true",
@@ -344,32 +350,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("query", help="answer a single piece query")
-    common(p)
+    inputs(p)
+    output(p)
     p.add_argument("vertex", type=int)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("test", help="run the two-phase property tester")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.1)
+    inputs(p, overrides=False)
     p.add_argument("--property", required=True)
     p.add_argument("--trials", type=int, default=None, help="phase-1 seed retries")
     p.add_argument("--config", help="tester config JSON (calibrated constants)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_test, mode="explicit", set=None)
+    output(p)
+    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("estimate", help="additively estimate a per-piece score")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.1)
+    inputs(p, overrides=False)
     p.add_argument("--scorer", required=True)
     p.add_argument("--samples", default="1000", help="sample count, or 'all' for full enumeration")
     p.add_argument("--config", help="estimator config JSON")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_estimate, mode="explicit", set=None)
+    output(p)
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("census", help="run an exhaustive structural census (CSV)")
-    common(p)
+    inputs(p)
+    output(p)
     p.add_argument("--kind", required=True, choices=("viability", "leaky", "good-seed"))
     p.add_argument("--phase", type=int, default=1, help="phase h for the viability census")
     p.add_argument("--source", type=int, default=0, help="source vertex for the leaky census")

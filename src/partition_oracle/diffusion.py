@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .graphs import BoundedDegreeGraph, VertexSet
 
@@ -98,20 +98,31 @@ class Diffuser:
     skipping those already zeroed, so a slot noted again after its sum
     cancelled to zero keeps its first place, and a zero stay share notes
     nothing.  Values and key order are the reference's.  Diffusers on one
-    graph share its tables and scratch.
+    graph share its tables and scratch.  Walks go through ``walk``, the
+    only caller of ``step``.
     """
 
     def __init__(self, g: BoundedDegreeGraph, rho: Mass, exact: bool = False):
         bound = exact_number(rho) if exact else float(rho) * (1.0 + DOUBLE_TRUNCATION_SLACK)
         self.bound = max(bound, 0)  # lazy_step drops masses <= 0 as well
+        self.exact = exact
         self.tables = step_tables(g, exact)
 
-    def step(self, p: MassVector, reached: set[int] | None = None) -> MassVector:
-        """One step; with ``reached``, adds each kept vertex to it.
+    def walk(self, s: int, t: int) -> Iterator[MassVector]:
+        """The vectors after steps 0..``t`` of the walk from the unit vector at ``s``.
 
-        The set grows only once the step has succeeded, so a step that
-        raises leaves it, like the scratch, as it was.
+        Once the support is empty no step is taken: the empty vector is
+        yielded for each step left.
         """
+        p: MassVector = {s: Fraction(1) if self.exact else 1.0}
+        yield p
+        for _ in range(t):
+            if p:
+                p = self.step(p)
+            yield p
+
+    def step(self, p: MassVector) -> MassVector:
+        """One step.  A step that raises leaves the scratch zeroed."""
         adj, stay, acc, edge_w, zero = self.tables
         bound = self.bound
         touched: list[int] = []
@@ -140,10 +151,6 @@ class Diffuser:
         except BaseException:
             acc[:] = [zero] * len(acc)
             raise
-        if reached is not None:
-            # Only the new vertices: a set updated with all of ``out`` reserves
-            # room for every key and ends up about twice as large.
-            reached.update(out.keys() - reached)
         return out
 
 
@@ -225,12 +232,8 @@ def truncated_diffusion(
     """
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    p: MassVector = {v: Fraction(1) if exact else 1.0}
-    step = Diffuser(g, rho, exact).step
-    for _ in range(t):
-        p = step(p)
-        if not p:
-            break
+    for p in Diffuser(g, rho, exact).walk(v, t):
+        pass
     return p
 
 

@@ -4,8 +4,8 @@ The same fixed randomness — per-vertex phases and walk lengths derived from
 one master seed — drives both the one-shot global partitioning procedure and
 the per-vertex local query path, and the two are exactly equivalent: a local
 query returns precisely the piece the global procedure would assign.  The
-:class:`PartitionOracle` engine keeps one walk to t_s and one sweep scan per
-seed, one cluster per seed, and one resumable capture scan per vertex, which
+:class:`PartitionOracle` engine keeps one sweep scan of the walk to t_s
+and one cluster per seed, and one resumable capture scan per vertex, which
 answers both ``is_free`` and ``find_anchor``.  A capture scan walks the
 vertex's candidate list: the seeds close enough that their walks can reach
 it, found by a breadth-first search.  How far a walk of t steps can reach,
@@ -202,8 +202,7 @@ class PartitionOracle:
         self._beta = exact_number(self.params.beta)
         self._ks: list[int] = list(thresholds.k) if thresholds else []
         self._diffuser = Diffuser(g, self.params.rho, self.params.exact)
-        # Per source: its vector at t_s, and its sweep scan.
-        self._walks: dict[int, MassVector] = {}
+        # Per source: the sweep scan of its vector at t_s.
         self._scans: dict[int, SweepScan] = {}
         # Per source, for find_ib only: the reach set of its walk to ell.
         self._reach_sets: dict[int, set[int]] = {}
@@ -217,17 +216,6 @@ class PartitionOracle:
 
     # -- diffusion caches ---------------------------------------------------
 
-    def _walk(self, s: int, t: int, reached: set[int] | None = None) -> MassVector:
-        """The ``t``-step truncated diffusion from ``s``, adding each vertex
-        it reaches to ``reached`` when given."""
-        p: MassVector = {s: Fraction(1) if self.params.exact else 1.0}
-        diffuse = self._diffuser.step
-        for _ in range(t):
-            if not p:
-                break
-            p = diffuse(p, reached)
-        return p
-
     def trajectory_masks(self, w: int) -> set[int]:
         """The reach set of the truncated diffusion from ``w``: every vertex
         in its support at some step t = 0..ell.  Only ``find_ib`` reads it.
@@ -237,8 +225,12 @@ class PartitionOracle:
         """
         reached = self._reach_sets.get(w)
         if reached is None:
-            reached = self._reach_sets[w] = {w}
-            self._walk(w, self.params.ell, reached)
+            reached = set()
+            for p in self._diffuser.walk(w, self.params.ell):
+                # Only the new vertices: a set updated with all of ``p`` reserves
+                # room for every key and ends up about twice as large.
+                reached.update(p.keys() - reached)
+            self._reach_sets[w] = reached
         return reached
 
     def _vertex(self, v: int) -> int:
@@ -248,13 +240,13 @@ class PartitionOracle:
         return v
 
     def vec_at(self, s: int) -> MassVector:
-        """The truncated diffusion from ``s`` after its walk length t_s."""
+        """The truncated diffusion from ``s`` after its walk length t_s,
+        walked anew on each call: the engine keeps only its sweep scan."""
         return self._vec_at(self._vertex(s))
 
     def _vec_at(self, s: int) -> MassVector:
-        p = self._walks.get(s)
-        if p is None:
-            p = self._walks[s] = self._walk(s, self.ctx.walk_len_of(s))
+        for p in self._diffuser.walk(s, self.ctx.walk_len_of(s)):
+            pass
         return p
 
     def _scan(self, s: int) -> SweepScan:
@@ -573,19 +565,12 @@ class PartitionOracle:
     # -- global reference ---------------------------------------------------
 
     def global_partition(self) -> Partition:
-        return self._run_global(None)
-
-    def global_partition_with_free_sets(self) -> tuple[Partition, dict[int, frozenset]]:
-        """The global run plus the free set recorded at each phase start."""
-        free_sets: dict[int, frozenset] = {}
-        return self._run_global(free_sets), free_sets
-
-    def _run_global(self, free_sets: dict[int, frozenset] | None) -> Partition:
         """The global procedure, phase by phase over a plain free array.
 
         This is also the global findr: a k_h not yet known is chosen at the
         start of phase h, when ``free`` holds exactly the vertices that no
-        earlier phase's seed captured.
+        earlier phase's seed captured.  So the free set at the start of
+        phase h is {u : phase(anchor(u)) >= h}.
         """
         n = self.g.n
         h_bar = self.params.h_bar
@@ -595,8 +580,6 @@ class PartitionOracle:
         free = [True] * n
         anchors = [-1] * n
         for h in range(1, h_bar + 1):
-            if free_sets is not None:
-                free_sets[h] = frozenset(u for u in range(n) if free[u])
             self._k_of(h, free.__getitem__)
             for v in seeds_of[h]:
                 for u in self._seed_set(v):

@@ -76,7 +76,10 @@ def geometric_from_uniform(u: float, delta, h_bar: int) -> int:
 
 
 def check_master_seed(seed: int) -> int:
-    """``seed`` itself; seeds outside [0, 2**64) would alias others, so raise."""
+    """``seed`` itself; a bool or non-int, or a seed outside [0, 2**64),
+    would alias others or fail to hash, so raise."""
+    if type(seed) is not int:  # True would alias 1
+        raise ValueError(f"master seed must be an int, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
     return seed

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from partition_oracle import (
     Partition,
     SeedContext,
     derive_params,
+    lazy_step,
+    truncate,
     truncated_diffusion,
 )
 
@@ -65,6 +68,17 @@ def desk_context(g: BoundedDegreeGraph, master_seed: int = 42, **over) -> SeedCo
     return SeedContext(master_seed, desk_params(g.d, **over))
 
 
+def reference_walk(g: BoundedDegreeGraph, s: int, steps: int, rho, exact: bool) -> list[list]:
+    """The items of the truncated diffusion from ``s`` after steps
+    1..``steps``, from ``lazy_step`` and ``truncate`` alone."""
+    p = {s: Fraction(1) if exact else 1.0}
+    out = []
+    for _ in range(steps):
+        p = truncate(lazy_step(g, p, exact), rho, exact)
+        out.append(list(p.items()))
+    return out
+
+
 def brute_incoming_ball(g: BoundedDegreeGraph, params, v: int) -> tuple[int, ...]:
     """Every w whose truncated diffusion puts mass on ``v`` at some t <= ell."""
     hit = set()
@@ -74,6 +88,21 @@ def brute_incoming_ball(g: BoundedDegreeGraph, params, v: int) -> tuple[int, ...
                 hit.add(w)
                 break
     return tuple(sorted(hit))
+
+
+def global_free_sets(engine) -> tuple[Partition, dict[int, frozenset]]:
+    """``engine.global_partition()`` and the free set at the start of each
+    phase h, derived from its anchors: F_h = {u : phase(anchor(u)) >= h}.
+
+    The global pass clears a vertex in the phase of the seed that anchors
+    it, and every vertex is anchored in its own phase at the latest.
+    """
+    partition = engine.global_partition()
+    anchor_phase = [engine.ctx.phase_of(a) for a in partition.anchors]
+    return partition, {
+        h: frozenset(u for u, phase in enumerate(anchor_phase) if phase >= h)
+        for h in range(1, engine.params.h_bar + 1)
+    }
 
 
 def piece_map(g: BoundedDegreeGraph, partition: Partition) -> dict[int, tuple[int, ...]]:

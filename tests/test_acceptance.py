@@ -44,6 +44,7 @@ from conftest import (
     cycle_graph,
     desk_context,
     desk_params,
+    global_free_sets,
     load_json,
     path_graph,
     piece_map,
@@ -257,8 +258,9 @@ def test_criterion_06_ls_curves_are_concave_and_contracting():
 
 
 def test_criterion_07_is_free_matches_the_global_free_sets():
-    """Queried on a fresh engine, is_free(u, h) reproduces the free sets
-    recorded by the reference global run for every vertex and phase."""
+    """Queried on a fresh engine, is_free(u, h) reproduces the free sets of
+    the reference global run, derived from its anchors, for every vertex
+    and phase."""
     graphs = [
         ("bridge", bridge_graph()), ("grid-4x4", gen_grid(4, 4)),
         ("tri-3x3", gen_triangulated_grid(3, 3)),
@@ -268,7 +270,7 @@ def test_criterion_07_is_free_matches_the_global_free_sets():
     for name, g in graphs:
         for seed in (0, 1):
             reference = PartitionOracle(g, SeedContext(seed, desk_params(g.d)))
-            _, free_sets = reference.global_partition_with_free_sets()
+            _, free_sets = global_free_sets(reference)
             fresh = PartitionOracle(g, SeedContext(seed, desk_params(g.d)))
             for h, free in sorted(free_sets.items()):
                 for u in range(g.n):

@@ -22,7 +22,14 @@ from partition_oracle import (
     viability_census,
 )
 
-from conftest import bridge_graph, cycle_graph, desk_context, desk_params, path_graph
+from conftest import (
+    bridge_graph,
+    cycle_graph,
+    desk_context,
+    desk_params,
+    global_free_sets,
+    path_graph,
+)
 
 
 # ---------------------------------------------------------------- measure_cut
@@ -206,7 +213,7 @@ def test_viability_census_replays_the_threshold_search(bridge):
     ctx = desk_context(bridge, 0, phi=0.1)
     engine = PartitionOracle(bridge, ctx)
     thresholds = engine.thresholds()
-    _, free_sets = engine.global_partition_with_free_sets()
+    _, free_sets = global_free_sets(engine)
     for h in (1, 2, 3):
         report = viability_census(
             bridge,

@@ -32,7 +32,13 @@ from partition_oracle import (
 from partition_oracle.diffusion import Diffuser, exact_number, support_radius
 from partition_oracle.seeds import _FLOAT_DELTA_FLOOR
 
-from conftest import brute_incoming_ball, desk_params, piece_map
+from conftest import (
+    brute_incoming_ball,
+    desk_params,
+    global_free_sets,
+    piece_map,
+    reference_walk,
+)
 
 # Each example runs the local findr on a graph of at most 36 vertices.
 # Shrinking is off: it reruns findr hundreds of times and a failure would
@@ -111,7 +117,7 @@ def test_global_pass_matches_the_local_oracle(g, seed):
 @PROPERTY_SETTINGS
 @given(graphs, master_seeds)
 def test_global_free_sets_match_is_free(g, seed):
-    _, free_sets = engine(g, seed).global_partition_with_free_sets()
+    _, free_sets = global_free_sets(engine(g, seed))
     fresh = engine(g, seed)
     for h, free in sorted(free_sets.items()):
         assert {u for u in range(g.n) if fresh.is_free(u, h)} == free, h
@@ -126,7 +132,7 @@ def test_capture_scan_answers_in_any_order(g, seed, data):
     local engine is given the thresholds, so no findr runs ahead of the
     drawn order."""
     reference = engine(g, seed)
-    partition, free_sets = reference.global_partition_with_free_sets()
+    partition, free_sets = global_free_sets(reference)
     phases = sorted(free_sets)
     queries = [("anchor", v, None) for v in range(g.n)]
     queries += [("free", u, h) for u in range(g.n) for h in phases]
@@ -150,7 +156,7 @@ def test_a_fresh_engine_chooses_thresholds_on_first_use_in_any_order(g, seed, da
     needs it; every answer, and the thresholds it ends with, match a
     separate global pass."""
     reference = engine(g, seed)
-    partition, free_sets = reference.global_partition_with_free_sets()
+    partition, free_sets = global_free_sets(reference)
     pieces = piece_map(g, partition)
     queries = [(kind, v, None) for kind in ("anchor", "piece") for v in range(g.n)]
     queries += [("free", u, h) for u in range(g.n) for h in sorted(free_sets)]
@@ -309,23 +315,17 @@ def exactly(p: dict) -> list:
 def test_fused_step_equals_the_reference_step(family, exact, data):
     """``Diffuser.step`` returns ``truncate(lazy_step(...))``: every value
     bit for bit, of the same type, under the same keys in the same order.
-    Checked at every step of a walk from every vertex, where the step also
-    records the reach set, and on one signed vector, where masses cancel and
-    a bound <= 0 must still drop them."""
+    Checked at every step of a walk from every vertex, and on one signed
+    vector, where masses cancel and a bound <= 0 must still drop them."""
     g = data.draw(family)
     rho = data.draw(st.sampled_from([0.001, 0.02, 0.07, 0.2]))
     step = Diffuser(g, rho, exact).step
     one = Fraction(1) if exact else 1.0
     for s in range(g.n):
         p = {s: one}
-        reached = {s}
-        expected_reached = {s}
         for t in range(1, 13):
             expected = truncate(lazy_step(g, p, exact), rho, exact)
-            expected_reached.update(expected)
             assert exactly(step(p)) == exactly(expected), (s, t)
-            assert exactly(step(p, reached)) == exactly(expected), (s, t)
-            assert reached == expected_reached, (s, t)
             p = expected
             if not p:
                 break
@@ -334,6 +334,34 @@ def test_fused_step_equals_the_reference_step(family, exact, data):
     vec = {v: one * m / 4 for v, m in enumerate(signed)}
     expected = truncate(lazy_step(g, vec, exact), signed_rho, exact)
     assert exactly(Diffuser(g, signed_rho, exact).step(vec)) == exactly(expected)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [graphs, triangulated_grids(), with_isolated_vertex()],
+    ids=["families", "triangulated", "isolated"],
+)
+@pytest.mark.parametrize("exact", [False, True], ids=["double", "exact"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_walk_yields_the_reference_walk(family, exact, data):
+    """``Diffuser.walk(s, t)`` yields ``reference_walk``'s vectors for steps
+    0..t: the same values, of the same type, under the same keys in the same
+    order.  At rho = 0.5 a walk from a vertex of full degree is empty after
+    one step, and the walk yields the empty vector from then on without
+    stepping again."""
+    g = data.draw(family)
+    t = data.draw(st.integers(0, 15))
+    one = Fraction(1) if exact else 1.0
+    for rho in (0.001, 0.07, 0.5):
+        diffuser = Diffuser(g, rho, exact)
+        step, calls = diffuser.step, []
+        diffuser.step = lambda p: calls.append(len(p)) or step(p)
+        for s in range(g.n):
+            expected = [[(s, one)]] + reference_walk(g, s, t, rho, exact)
+            got = [exactly(p) for p in diffuser.walk(s, t)]
+            assert got == [exactly(dict(items)) for items in expected], (rho, s)
+        assert 0 not in calls, rho
 
 
 # -- candidate lists, walk reach, and the two arithmetic modes -----------------

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from partition_oracle import SeedContext, geometric_from_uniform
+from partition_oracle.applications import trial_seed
+from partition_oracle.seeds import check_master_seed
 
 from conftest import bridge_graph, desk_params
 
@@ -26,6 +29,16 @@ def test_same_seed_same_stream():
 def test_seeds_outside_64_bits_are_rejected_not_aliased(seed):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         make_ctx(seed)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, -1, 2 ** 64])
+def test_master_seeds_that_are_not_64_bit_ints_are_refused(seed):
+    """A bool would alias 0 or 1, and a float would fail to hash: each is
+    refused with one line, by the check itself, a seed context and the
+    tester's substreams alike."""
+    for build in (check_master_seed, make_ctx, lambda s: trial_seed(s, 0)):
+        with pytest.raises(ValueError, match=rf"^master seed must .*got {re.escape(repr(seed))}$"):
+            build(seed)
 
 
 def test_both_ends_of_the_seed_range_are_accepted():
