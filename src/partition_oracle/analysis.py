@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from .diffusion import Diffuser, exact_number
 from .graphs import BoundedDegreeGraph, VertexSet
 from .oracle import Partition, PartitionOracle, PhaseThresholds, SweepScan
-from .params import OracleParams, check_desk_scale
+from .params import OracleParams, check_desk_scale, is_integer
 from .seeds import SeedContext
 
 
@@ -62,6 +62,12 @@ class DifferentialReport:
     @property
     def ok(self) -> bool:
         return self.divergences == 0
+
+
+def _check_vertex(g: BoundedDegreeGraph, v: object, what: str) -> None:
+    """Refuse ``v`` unless it is an int vertex id of ``g`` (bools are not)."""
+    if not is_integer(v) or not 0 <= v < g.n:
+        raise ValueError(f"{what} {v!r} out of range [0, {g.n})")
 
 
 def measure_cut(g: BoundedDegreeGraph, partition: Partition) -> CutReport:
@@ -129,6 +135,7 @@ def leaky_census(
     conductance below 1/(d * ell^(1/3)); the smallest such k is recorded as
     the certificate.
     """
+    _check_vertex(g, s, "source")
     check_desk_scale(params)
     free = frozenset(F)
     alpha_sq = exact_number(params.alpha) ** 2
@@ -184,8 +191,10 @@ def good_seed_census(
     """
     if not F:
         raise ValueError("the free set must contain at least one vertex")
-    check_desk_scale(params)
     free = frozenset(F)
+    for u in free:
+        _check_vertex(g, u, "free-set vertex")
+    check_desk_scale(params)
     beta = exact_number(params.beta)
     mass_bound = beta / 16
     step_quota = beta * params.ell / 8

@@ -295,8 +295,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         _emit_csv(report.rows, ("h", "k", "viable", "meets_quota"), args.out)
         print(f"summary: {json.dumps(report.summary, sort_keys=True)}", file=sys.stderr)
     elif args.kind == "leaky":
-        if not 0 <= args.source < g.n:
-            raise ValueError(f"source {args.source} out of range [0, {g.n})")
         report = leaky_census(g, ctx.params, args.source, free)
         _emit_csv(
             report.rows, ("s", "t", "leaking", "certificate_k", "conductance"), args.out

@@ -9,7 +9,7 @@ invariants — is the operational default throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -141,21 +141,17 @@ class OracleParams:
         if self.arithmetic not in ("double", "exact"):
             raise ParamError(f"unknown arithmetic {self.arithmetic!r}")
         if self.mode == PAPER_MODE:
-            self._validate_formulas(eps)
+            self._validate_formulas()
 
-    def _validate_formulas(self, eps: Fraction) -> None:
-        d = Fraction(self.d)
-        checks = {
-            "ell": (Fraction(self.ell), Fraction(math.ceil(_pow(d, 6) * _pow(eps, -30)))),
-            "rho": (exact_number(self.rho), _pow(d, -60) * _pow(eps, 3000)),
-            "phi": (exact_number(self.phi), _pow(d, -1) * _pow(eps, 10)),
-            "beta": (exact_number(self.beta), eps / 10),
-            "delta": (exact_number(self.delta), _pow(d, -70) * _pow(eps, 3100)),
-        }
-        for name, (actual, expected) in checks.items():
-            if actual != expected:
+    def _validate_formulas(self) -> None:
+        formula = derive_params(
+            self.epsilon, self.d, EXPLICIT_MODE, {"arithmetic": self.arithmetic}
+        )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "mode" and value != getattr(formula, f.name):
                 raise ParamError(
-                    f"formula-mode field {name}={actual} does not match its formula value"
+                    f"formula-mode field {f.name}={value} does not match its formula value"
                 )
 
 
@@ -164,7 +160,7 @@ def check_desk_scale(params: OracleParams) -> None:
     if params.ell > MAX_DESK_ELL:
         raise OracleConfigError(
             f"walk-length cap ell={params.ell} is beyond desk scale; "
-            "use explicit parameters"
+            "set a smaller ell (--set ell=N, or a config's overrides)"
         )
     if params.h_bar > MAX_FINDR_PHASES:
         raise OracleConfigError(f"h_bar={params.h_bar} phases is beyond desk scale")
@@ -179,18 +175,10 @@ def check_desk_scale(params: OracleParams) -> None:
         raise OracleConfigError(f"{n} size-threshold candidates is beyond desk scale")
 
 
-_FIELD_ORDER = (
-    "ell",
-    "rho",
-    "phi",
-    "beta",
-    "delta",
-    "alpha",
-    "h_bar",
-    "k_candidates",
-    "sample_count",
-    "keep_count",
-)
+# The fields derive_params computes from (epsilon, d): the ones overrides may set.
+_DERIVED_FIELDS = {f.name for f in fields(OracleParams)} - {
+    "epsilon", "d", "mode", "arithmetic"
+}
 
 
 def derive_params(
@@ -212,7 +200,7 @@ def derive_params(
     arithmetic = overrides.pop("arithmetic", "double")
     if mode == PAPER_MODE and overrides:
         raise ParamError("formula mode computes every field; overrides not allowed")
-    unknown = set(overrides) - set(_FIELD_ORDER)
+    unknown = set(overrides) - _DERIVED_FIELDS
     if unknown:
         raise ParamError(f"unknown parameter overrides: {sorted(unknown)}")
 
@@ -274,24 +262,10 @@ def _number_to_json(x: Number) -> object:
 
 def params_to_dict(params: OracleParams) -> dict:
     """JSON-friendly, deterministic rendering of a parameter bundle."""
+    out = {f.name: _number_to_json(getattr(params, f.name)) for f in fields(params)}
     ks = params.k_candidates
     if isinstance(ks, range) and ks.step == 1:
-        k_repr: object = f"{ks.start}..{ks.stop - 1}"
+        out["k_candidates"] = f"{ks.start}..{ks.stop - 1}"
     else:
-        k_repr = list(ks)
-    return {
-        "epsilon": _number_to_json(params.epsilon),
-        "d": params.d,
-        "ell": params.ell,
-        "rho": _number_to_json(params.rho),
-        "phi": _number_to_json(params.phi),
-        "beta": _number_to_json(params.beta),
-        "delta": _number_to_json(params.delta),
-        "alpha": _number_to_json(params.alpha),
-        "h_bar": params.h_bar,
-        "k_candidates": k_repr,
-        "sample_count": params.sample_count,
-        "keep_count": params.keep_count,
-        "mode": params.mode,
-        "arithmetic": params.arithmetic,
-    }
+        out["k_candidates"] = list(ks)
+    return out

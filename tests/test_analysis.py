@@ -131,6 +131,26 @@ def test_good_seed_census_rejects_empty_free_set():
         good_seed_census(cycle_graph(8), desk_params(2), ())
 
 
+@pytest.mark.parametrize("s", [-1, 8, True])
+def test_leaky_census_refuses_a_source_outside_the_graph(s):
+    with pytest.raises(ValueError, match=rf"^source {s!r} out of range \[0, 8\)$"):
+        leaky_census(cycle_graph(8), desk_params(2), s, tuple(range(8)))
+
+
+@pytest.mark.parametrize("u", [-1, 8, True])
+def test_good_seed_census_refuses_a_free_id_outside_the_graph(u):
+    with pytest.raises(ValueError, match=rf"^free-set vertex {u} out of range \[0, 8\)$"):
+        good_seed_census(cycle_graph(8), desk_params(2), (0, u))
+
+
+def test_census_vertex_checks_come_before_the_desk_scale_check():
+    huge = desk_params(2, rho=1e-8, sample_count=10**8)
+    with pytest.raises(ValueError, match="^source 8 out of range"):
+        leaky_census(cycle_graph(8), huge, 8, ())
+    with pytest.raises(ValueError, match="^free-set vertex 8 out of range"):
+        good_seed_census(cycle_graph(8), huge, (8,))
+
+
 # --------------------------------------------- censuses against reference loops
 
 def reference_leaky_rows(g, params, s, free):

@@ -74,6 +74,13 @@ def test_paper_mode_values_are_beyond_desk_scale():
         check_desk_scale(p)
 
 
+def test_desk_scale_hint_names_the_ell_override():
+    # Explicit mode without overrides keeps the closed forms, so the fix is
+    # a smaller ell, not a change of mode.
+    with pytest.raises(OracleConfigError, match=r"set a smaller ell \(--set ell=N"):
+        check_desk_scale(derive_params(0.5, 2))
+
+
 def test_desk_scale_accepts_explicit_bundle():
     check_desk_scale(desk_params(3))
 
@@ -177,3 +184,50 @@ def test_default_h_bar_tracks_delta():
     p = derive_params(0.1, 3, "explicit", over)
     inv = Fraction(2)
     assert p.h_bar == math.ceil(2 * inv * Fraction(math.log(2)))
+
+
+def test_params_to_dict_renders_every_field_exactly():
+    assert params_to_dict(desk_params(3)) == {
+        "epsilon": 0.1, "d": 3, "ell": 20, "rho": 0.001, "phi": 0.2,
+        "beta": 0.1, "delta": 0.2, "alpha": 0.1 ** (4.0 / 3.0) / 300_000.0,
+        "h_bar": 10, "k_candidates": "1..50", "sample_count": 200,
+        "keep_count": 100, "mode": "explicit", "arithmetic": "double",
+    }
+    over = {**DESK_OVERRIDES, "k_candidates": (3, 5, 9), "arithmetic": "exact"}
+    assert params_to_dict(derive_params(0.1, 3, "explicit", over)) == {
+        **params_to_dict(desk_params(3)), "k_candidates": [3, 5, 9], "arithmetic": "exact"
+    }
+    inv_delta = 2 ** 3170
+    assert params_to_dict(derive_params(Fraction(1, 2), 2, "paper")) == {
+        "epsilon": "1/2", "d": 2, "ell": 2 ** 36, "rho": f"1/{2 ** 3060}",
+        "phi": "1/2048", "beta": "1/20", "delta": f"1/{inv_delta}",
+        "alpha": 0.5 ** (4.0 / 3.0) / 300_000.0,
+        "h_bar": math.ceil(2 * inv_delta * Fraction(math.log(inv_delta))),
+        "k_candidates": f"1..{2 ** 3060}", "sample_count": 20 ** 10,
+        "keep_count": 20 ** 8, "mode": "paper", "arithmetic": "double",
+    }
+
+
+PAPER_BUNDLE = derive_params(Fraction(1, 2), 2, "paper")
+
+# One value per derived field that passes the generic checks but is not the
+# closed form for (epsilon, d) = (1/2, 2).
+CHANGED_FIELDS = {
+    "ell": PAPER_BUNDLE.ell + 1,
+    "rho": PAPER_BUNDLE.rho / 2,
+    "phi": PAPER_BUNDLE.phi * 2,
+    "beta": PAPER_BUNDLE.beta * 2,
+    "delta": PAPER_BUNDLE.delta * 2,
+    "alpha": PAPER_BUNDLE.alpha * 2,
+    "h_bar": PAPER_BUNDLE.h_bar + 1,
+    "k_candidates": range(1, 2 ** 3060),
+    "sample_count": PAPER_BUNDLE.sample_count + 1,
+    "keep_count": PAPER_BUNDLE.keep_count + 1,
+}
+
+
+@pytest.mark.parametrize("name", list(CHANGED_FIELDS))
+def test_paper_mode_refuses_any_changed_derived_field(name):
+    changed = dataclasses.replace(PAPER_BUNDLE, **{name: CHANGED_FIELDS[name]})
+    with pytest.raises(ParamError, match=f"formula-mode field {name}="):
+        changed.validate()
