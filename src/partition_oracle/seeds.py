@@ -136,7 +136,7 @@ class SeedContext:
         """The phase h_v in [1, h_bar]: capped geometric with rate delta,
         from ``uniform("phase", v)``."""
         h = self._phase_memo.get(v)
-        if h is None:
+        if h is None or type(v) is not int:  # True would hit vertex 1's memo
             keyed = self._phase_prefix.copy()
             keyed.update(_encode_index(v))
             u = (int.from_bytes(keyed.digest(), "little") >> 11) / _TWO_53
@@ -147,7 +147,7 @@ class SeedContext:
     def walk_len_of(self, v: int) -> int:
         """The walk length t_v, uniform in [1, ell]: ``below(ell, "walk", v) + 1``."""
         t = self._walk_memo.get(v)
-        if t is None:
+        if t is None or type(v) is not int:  # True would hit vertex 1's memo
             keyed = self._walk_prefix.copy()
             keyed.update(_encode_index(v))
             t = self._walk_memo[v] = _draw_below(self.params.ell, keyed) + 1

@@ -133,6 +133,19 @@ def test_cluster_validates_inputs():
         cluster(g, params, 0, 3, -2)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0, -5])
+@pytest.mark.parametrize("build", [
+    lambda g, ctx, k: PartitionOracle(g, ctx).cluster_at(0, k),
+    lambda g, ctx, k: cluster(g, ctx.params, 0, 3, k),
+], ids=["cluster_at", "cluster"])
+def test_a_bool_non_int_or_negative_size_threshold_is_refused(build, k):
+    """True would alias k = 1 and False k = 0; a negative k answered the
+    singleton and a float died in the sweep with a bare TypeError."""
+    g = bridge_graph()
+    with pytest.raises(ValueError, match=rf"^size threshold must be an int >= 0, got {k}$"):
+        build(g, desk_context(g), k)
+
+
 def test_engine_cluster_at_matches_module_cluster():
     """The engine's cluster of each vertex is the module cluster at its t_s."""
     g = bridge_graph()
@@ -256,6 +269,14 @@ def test_is_free_validates_phase(bridge):
         engine.is_free(0, 11)
     engine.thresholds()
     assert engine.is_free(0, 1)
+
+
+@pytest.mark.parametrize("h", [True, 2.0, "2"])
+def test_is_free_refuses_a_bool_or_non_int_phase(bridge, h):
+    """``is_free(u, True)`` answered as phase 1."""
+    engine = PartitionOracle(bridge, desk_context(bridge))
+    with pytest.raises(ValueError, match=rf"^phase must be an int, got {h!r}$"):
+        engine.is_free(0, h)
 
 
 @pytest.mark.parametrize("v", [True, False, -1, 8, 2 ** 64])
@@ -434,6 +455,47 @@ def test_a_cold_query_walks_only_what_its_piece_needs():
     assert len(cold._capture) <= 25
     reference = PartitionOracle(g, ctx, thresholds).global_partition()
     assert piece == piece_map(g, reference)[1275]
+
+
+def count_whole_graph_builds(monkeypatch) -> list:
+    """Record each engine that builds every candidate list at once."""
+    builds = []
+    build = PartitionOracle._all_candidates
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(PartitionOracle, "_all_candidates", counted)
+    return builds
+
+
+def test_a_cold_query_never_builds_the_whole_graph_lists(monkeypatch):
+    """A cold query opens a few dozen capture scans, far from a quarter of
+    the vertices, so each searches its own candidate list."""
+    builds = count_whole_graph_builds(monkeypatch)
+    g, ctx, thresholds = golden_grid50()
+    cold = PartitionOracle(g, ctx, thresholds)
+    cold.find_partition(1275)
+    assert builds == [] and cold._lists is None
+
+
+def test_a_local_sweep_builds_the_whole_graph_lists_once(monkeypatch):
+    """Asking every vertex for its anchor on a fresh engine, findr
+    included, builds every candidate list once, when scans are open for a
+    quarter of the vertices.  Later scans share the table's lists, no scan
+    changes them, and the answers equal the global pass."""
+    builds = count_whole_graph_builds(monkeypatch)
+    g, ctx, _ = golden_grid50()
+    sweep = PartitionOracle(g, ctx)
+    anchors = tuple(sweep.find_anchor(v) for v in range(g.n))
+    assert builds == [sweep]
+    reference = PartitionOracle(g, ctx)
+    assert anchors == reference.global_partition().anchors
+    assert sweep.thresholds() == reference.thresholds()
+    assert sweep._lists == reference._all_candidates()
+    searched = [u for u, scan in sweep._capture.items() if scan[0] is not sweep._lists[u]]
+    assert len(sweep._capture) == g.n and len(searched) == -(-g.n // 4)
 
 
 def test_a_cold_query_builds_no_incoming_ball(monkeypatch):

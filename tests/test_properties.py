@@ -500,9 +500,12 @@ def test_reach_hand_values():
 @given(st.one_of(grids_with_deletions(), triangulated_grids(), trees()), master_seeds)
 def test_candidate_lists_equal_their_definition(g, seed):
     """Each candidate list is exactly u plus every seed s of phase < h_bar
-    with dist(s, u) <= reach(t_s), in processing order."""
+    with dist(s, u) <= reach(t_s), in processing order, whether searched
+    from u or built with every other list from the seeds' side."""
     params = desk_params(g.d)
     oracle = PartitionOracle(g, SeedContext(seed, params))
+    lists = PartitionOracle(g, SeedContext(seed, params))._all_candidates()
+    assert len(lists) == g.n
     ctx = SeedContext(seed, params)
     dist = {s: distances(g, s) for s in range(g.n)}
     for u in range(g.n):
@@ -514,6 +517,7 @@ def test_candidate_lists_equal_their_definition(g, seed):
             )
         ]
         assert oracle._candidates(u) == expected, u
+        assert lists[u] == expected, u
 
 
 def reference_u64(seed: int, tag: str, *indices: int) -> int:

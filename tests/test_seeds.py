@@ -94,6 +94,20 @@ def test_negative_and_bool_hash_indices_are_rejected_not_aliased(draw, index):
         draw(make_ctx(), index)
 
 
+@pytest.mark.parametrize("index, vertex", [(True, 1), (False, 0)])
+@pytest.mark.parametrize("name", ["phase_of", "walk_len_of"])
+def test_a_bool_index_is_refused_whether_or_not_its_vertex_is_memoised(name, index, vertex):
+    """Once vertex 1 was memoised, ``phase_of(True)`` returned its phase."""
+    ctx = make_ctx()
+    draw = getattr(ctx, name)
+    with pytest.raises(ValueError, match=rf"hash index .*got {index}$"):
+        draw(index)
+    draw(vertex)
+    with pytest.raises(ValueError, match=rf"hash index .*got {index}$"):
+        draw(index)
+    assert ctx._phase_memo.keys() | ctx._walk_memo.keys() == {vertex}
+
+
 def test_geometric_inverse_cdf_small_cases():
     # X = min{m >= 1 : u < 1 - (1-delta)^m}
     assert geometric_from_uniform(0.0, 0.5, 10) == 1
