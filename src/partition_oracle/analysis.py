@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from .diffusion import Diffuser, exact_number
 from .graphs import BoundedDegreeGraph, VertexSet
 from .oracle import Partition, PartitionOracle, PhaseThresholds, SweepScan
-from .params import OracleParams, check_desk_scale, is_integer
+from .params import OracleParams, check_desk_scale, check_int
 from .seeds import SeedContext
 
 
@@ -64,12 +64,6 @@ class DifferentialReport:
         return self.divergences == 0
 
 
-def _check_vertex(g: BoundedDegreeGraph, v: object, what: str) -> None:
-    """Refuse ``v`` unless it is an int vertex id of ``g`` (bools are not)."""
-    if not is_integer(v) or not 0 <= v < g.n:
-        raise ValueError(f"{what} {v!r} out of range [0, {g.n})")
-
-
 def measure_cut(g: BoundedDegreeGraph, partition: Partition) -> CutReport:
     """Count edges crossing pieces (each once) and piece-size statistics."""
     label = [-1] * g.n
@@ -107,8 +101,7 @@ def viability_census(
     argmax tie-break as the search itself, so with ``F`` equal to the true
     free set the reported choice is bit-identical to the chosen threshold.
     """
-    if not 1 <= h <= ctx.params.h_bar:
-        raise ValueError(f"phase {h} outside [1, {ctx.params.h_bar}]")
+    check_int(h, "phase", 1, ctx.params.h_bar)
     engine = PartitionOracle(g, ctx)
     # The census scans k_range in place of the bundle's candidates.
     check_desk_scale(replace(ctx.params, k_candidates=k_range))
@@ -135,7 +128,7 @@ def leaky_census(
     conductance below 1/(d * ell^(1/3)); the smallest such k is recorded as
     the certificate.
     """
-    _check_vertex(g, s, "source")
+    check_int(s, "source", 0, g.n - 1)
     check_desk_scale(params)
     free = frozenset(F)
     alpha_sq = exact_number(params.alpha) ** 2
@@ -191,9 +184,9 @@ def good_seed_census(
     """
     if not F:
         raise ValueError("the free set must contain at least one vertex")
+    for u in F:  # before the set: True would merge into vertex 1
+        check_int(u, "free-set vertex", 0, g.n - 1)
     free = frozenset(F)
-    for u in free:
-        _check_vertex(g, u, "free-set vertex")
     check_desk_scale(params)
     beta = exact_number(params.beta)
     mass_bound = beta / 16

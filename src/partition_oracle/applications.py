@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .diffusion import exact_number
 from .graphs import BoundedDegreeGraph, VertexSet, induced_edges
 from .oracle import PartitionOracle, PhaseThresholds
-from .params import OracleParams, derive_params, is_integer
+from .params import OracleParams, check_int, derive_params
 from .seeds import SeedContext, check_master_seed
 from .solvers import (
     DEFAULT_SOLVER_CAP,
@@ -65,9 +65,7 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
     if raw:
         for key, value in raw.items():
             if key == "k_max":
-                if not is_integer(value):
-                    raise ValueError(f"k_max expects an integer, got {value!r}")
-                out["k_candidates"] = range(1, value + 1)
+                out["k_candidates"] = range(1, check_int(value, "k_max", 1) + 1)
             elif key == "exact":
                 if not isinstance(value, (int, float)):
                     raise ValueError(f"exact expects a number, got {value!r}")
@@ -77,8 +75,28 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
     return out
 
 
+# The config fields that count something; the phase sizes may be null.
+_CONFIG_COUNTS = ("retries", "phase1_probes", "phase2_samples", "solver_cap")
+
+
 class _ConfigFile:
-    """JSON loading and oracle parameters shared by the calibrated configs."""
+    """JSON loading, field checks and oracle parameters shared by the
+    calibrated configs.  A config checks its fields when it is built; the
+    override values are checked when the oracle's parameters are derived."""
+
+    def __post_init__(self) -> None:
+        overrides = self.overrides
+        if overrides is not None and not isinstance(overrides, Mapping):
+            raise ValueError(f"overrides expects an object or null, got {overrides!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "cut_threshold" and value is not None and (
+                isinstance(value, bool) or not isinstance(value, Real)
+                or not 0 <= value <= 1
+            ):
+                raise ValueError(f"cut_threshold must be a number in [0, 1], got {value!r}")
+            if f.name in _CONFIG_COUNTS and not (value is None and f.default is None):
+                check_int(value, f.name, 1)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]):
@@ -89,16 +107,6 @@ class _ConfigFile:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown {cls.kind} config keys: {sorted(unknown)}")
-        for name in ("retries", "phase1_probes", "phase2_samples", "solver_cap"):
-            if name not in data:
-                continue
-            value = data[name]
-            # The phase sizes default to null: computed from epsilon.
-            if not is_integer(value) and (value is not None or getattr(cls, name) is not None):
-                raise ValueError(f"{name} expects an integer, got {value!r}")
-        overrides = data.get("overrides")
-        if overrides is not None and not isinstance(overrides, Mapping):
-            raise ValueError(f"overrides expects an object or null, got {overrides!r}")
         return cls(**data)
 
     @classmethod
@@ -164,8 +172,7 @@ def estimate_cut_fraction(
     samples: int = 1000,
 ) -> float:
     """Sampled estimate of the fraction of (vertex, incident-edge) draws cut."""
-    if not (is_integer(samples) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    check_int(samples, "samples", 1)
     engine = PartitionOracle(g, ctx, thresholds)
     return _cut_probe_hits(engine, ctx, samples) / samples
 
@@ -189,22 +196,10 @@ def run_tester(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if config is None:
         config = TesterConfig()
-    name, retries = ("trials", trials) if trials is not None else ("retries", config.retries)
-    if not (is_integer(retries) and retries >= 1):
-        raise ValueError(f"{name} must be an integer >= 1 (phase-1 trials), got {retries!r}")
+    retries = config.retries if trials is None else check_int(trials, "trials", 1)
     params = config.oracle_params(g, epsilon)
     threshold = config.cut_threshold
-    if threshold is None:
-        threshold = exact_number(epsilon) / 4
-    elif (isinstance(threshold, bool) or not isinstance(threshold, Real)
-          or not 0 <= threshold <= 1):
-        raise ValueError(f"cut_threshold must be a number in [0, 1], got {threshold!r}")
-    else:
-        threshold = exact_number(threshold)
-    for name in ("phase1_probes", "phase2_samples"):
-        value = getattr(config, name)
-        if value is not None and not (is_integer(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    threshold = exact_number(epsilon) / 4 if threshold is None else exact_number(threshold)
     probes = config.phase1_probes or math.ceil(48 / epsilon)
     piece_samples = config.phase2_samples or math.ceil(8 / epsilon)
 
@@ -259,8 +254,8 @@ def run_estimator(
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if samples is not None and not (is_integer(samples) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1 or None, got {samples!r}")
+    if samples is not None:
+        check_int(samples, "samples", 1)
     if config is None:
         config = EstimatorConfig()
     ctx = SeedContext(master_seed, config.oracle_params(g, epsilon))

@@ -179,8 +179,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g, ctx = _oracle_setup(args)
-    if not 0 <= args.vertex < g.n:
-        raise ValueError(f"vertex {args.vertex} out of range [0, {g.n})")
     engine = PartitionOracle(g, ctx)
     piece = engine.find_partition(args.vertex)
     config = _resolved_config(args, vertex=args.vertex)

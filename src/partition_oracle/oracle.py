@@ -35,7 +35,7 @@ from .diffusion import (
     truncated_diffusion,
 )
 from .graphs import BoundedDegreeGraph, VertexSet, connected_components
-from .params import OracleParams, check_desk_scale, is_integer
+from .params import OracleParams, check_desk_scale, check_int
 from .seeds import SeedContext
 
 
@@ -48,17 +48,13 @@ class PhaseThresholds:
     def __post_init__(self) -> None:
         if not self.k:
             raise ValueError("thresholds must cover at least one phase")
-        if not all(map(is_integer, self.k)):
-            raise ValueError(f"size thresholds must be integers, got {self.k}")
+        for x in self.k:
+            check_int(x, "size threshold", 0)
         if self.k[-1] != 0:
             raise ValueError("the final-phase threshold must be 0")
-        if any(x < 0 for x in self.k):
-            raise ValueError("size thresholds must be nonnegative")
 
     def for_phase(self, h: int) -> int:
-        if not 1 <= h <= len(self.k):
-            raise ValueError(f"phase {h} outside [1, {len(self.k)}]")
-        return self.k[h - 1]
+        return self.k[check_int(h, "phase", 1, len(self.k)) - 1]
 
 
 @dataclass(frozen=True)
@@ -158,14 +154,6 @@ class SweepScan:
         return self.members(*pick) if pick is not None else (self.v,)
 
 
-def _size_threshold(k: int) -> int:
-    """``k`` itself; a bool would alias 0 or 1, so it is refused with
-    non-ints and negative sizes."""
-    if not is_integer(k) or k < 0:
-        raise ValueError(f"size threshold must be an int >= 0, got {k!r}")
-    return k
-
-
 def cluster(
     g: BoundedDegreeGraph, params: OracleParams, v: int, t: int, k: int
 ) -> VertexSet:
@@ -174,9 +162,8 @@ def cluster(
     Returns the singleton ``{v}`` when ``k`` is zero, when ``v`` fell out of
     its own truncated diffusion, or when no level set qualifies.
     """
-    if not 0 <= t <= params.ell:
-        raise ValueError(f"walk length {t} outside [0, {params.ell}]")
-    if _size_threshold(k) == 0:
+    check_int(t, "walk length", 0, params.ell)
+    if check_int(k, "size threshold", 0) == 0:
         return (v,)
     vec = truncated_diffusion(g, v, t, params.rho, exact=params.exact)
     return SweepScan(g, vec, v).cluster(exact_number(params.phi), k)
@@ -247,9 +234,7 @@ class PartitionOracle:
 
     def _vertex(self, v: int) -> int:
         """``v`` itself, checked where a caller hands the engine a vertex id."""
-        if not is_integer(v) or not 0 <= v < self.g.n:
-            raise ValueError(f"vertex id must be an int in [0, {self.g.n}), got {v!r}")
-        return v
+        return check_int(v, "vertex id", 0, self.g.n - 1)
 
     def vec_at(self, s: int) -> MassVector:
         """The truncated diffusion from ``s`` after its walk length t_s,
@@ -271,7 +256,7 @@ class PartitionOracle:
     def cluster_at(self, s: int, k: int) -> VertexSet:
         """cluster(s, t_s, k), backed by the per-seed sweep cache."""
         self._vertex(s)
-        return self._scan(s).cluster(self._phi, k) if _size_threshold(k) else (s,)
+        return self._scan(s).cluster(self._phi, k) if check_int(k, "size threshold", 0) else (s,)
 
     # -- thresholds (findr) -------------------------------------------------
 
@@ -581,11 +566,7 @@ class PartitionOracle:
         seed is on the candidate list of ``u``, so the check never needs a
         global pass.
         """
-        if not is_integer(h):  # True would answer as phase 1
-            raise ValueError(f"phase must be an int, got {h!r}")
-        if not 1 <= h <= self.params.h_bar:
-            raise ValueError(f"phase {h} outside [1, {self.params.h_bar}]")
-        return self._free(self._vertex(u), h)
+        return self._free(self._vertex(u), check_int(h, "phase", 1, self.params.h_bar))
 
     def _free(self, u: int, h: int) -> bool:
         """``is_free`` without the checks: findr's free test."""

@@ -42,6 +42,15 @@ def is_integer(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_int(value: object, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` itself if it is an int in [lo, hi] (no upper bound when ``hi``
+    is None); anything else, a bool included, is refused with one message shape."""
+    if is_integer(value) and lo <= value and (hi is None or value <= hi):
+        return value
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def _pow(base: Fraction, exp: int) -> Fraction:
     return base ** exp if exp >= 0 else (1 / base) ** (-exp)
 

@@ -174,7 +174,7 @@ def test_tester_validates_arguments(bridge):
         run_tester(bridge, 0.0, accept_everything)
     with pytest.raises(ValueError, match="epsilon"):
         run_tester(bridge, 1.0, accept_everything)
-    with pytest.raises(ValueError, match="phase-1 trial"):
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1, got 0$"):
         run_tester(bridge, 0.1, accept_everything, trials=0)
 
 
@@ -182,12 +182,11 @@ def test_tester_validates_arguments(bridge):
 def test_library_counts_refuse_bools_and_floats(bridge, value):
     """A bool is an int in Python; as a count it would run once (or never)
     instead of failing, as the config files already refuse it."""
-    with pytest.raises(ValueError, match=r"^trials must be an integer >= 1 .*, got "):
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 1, got "):
         run_tester(bridge, 0.1, accept_everything, trials=value)
-    config = bridge_tester_config(retries=value)
-    with pytest.raises(ValueError, match=r"^retries must be an integer >= 1 .*, got "):
-        run_tester(bridge, 0.1, accept_everything, config=config)
-    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1 or None, got "):
+    with pytest.raises(ValueError, match=r"^retries must be an integer >= 1, got "):
+        bridge_tester_config(retries=value)
+    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
         run_estimator(bridge, 0.1, SCORERS["matching"], samples=value)
     with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got "):
         estimate_cut_fraction(bridge, desk_context(bridge), samples=value)
@@ -195,9 +194,8 @@ def test_library_counts_refuse_bools_and_floats(bridge, value):
 
 @pytest.mark.parametrize("value", [True, "0.5", -1, 1.5, float("nan")])
 def test_tester_refuses_a_cut_threshold_outside_the_unit_interval(bridge, value):
-    config = bridge_tester_config(cut_threshold=value)
     with pytest.raises(ValueError, match="cut_threshold must be a number in"):
-        run_tester(bridge, 0.1, accept_everything, config=config)
+        bridge_tester_config(cut_threshold=value)
 
 
 @pytest.mark.parametrize(
@@ -206,9 +204,8 @@ def test_tester_refuses_a_cut_threshold_outside_the_unit_interval(bridge, value)
      ("phase2_samples", 0), ("phase2_samples", -1), ("phase2_samples", True)],
 )
 def test_tester_refuses_phase_sizes_below_one(bridge, field, value):
-    config = bridge_tester_config(**{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
-        run_tester(bridge, 0.1, accept_everything, config=config)
+        bridge_tester_config(**{field: value})
 
 
 def test_tester_trials_override_config_retries(bridge):

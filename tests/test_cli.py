@@ -150,7 +150,7 @@ def test_partition_paper_mode_is_rejected_at_desk_scale(bridge_file, capsys):
         ("h_bar=10.5", "h_bar must be an integer, got 10.5"),
         ("sample_count=200.5", "sample_count must be an integer, got 200.5"),
         ("keep_count=2.5", "keep_count must be an integer, got 2.5"),
-        ("k_max=7.9", "k_max expects an integer, got 7.9"),
+        ("k_max=7.9", "k_max must be an integer >= 1, got 7.9"),
         ("k_candidates=5",
          "k_candidates must be a range, list or tuple of integers, got 5"),
         ("k_candidates=2.5",
@@ -221,7 +221,7 @@ def test_query_on_the_grid50_config_returns_the_golden_piece(tmp_path):
 
 def test_query_rejects_out_of_range_vertex(bridge_file, capsys):
     assert main(["query", "--graph", bridge_file, "99"] + set_args()) == 1
-    assert "out of range" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: vertex id must be an integer in [0, 7], got 99\n"
 
 
 # ---------------------------------------------------------------------- test
@@ -260,20 +260,22 @@ def test_tester_rejects_the_triangle(tmp_path):
 
 # Config files refused by both commands; {kind} is "tester" or "estimator".
 BAD_CONFIGS = [
-    ('{"solver_cap": "x"}', "solver_cap expects an integer, got 'x'"),
-    ('{"solver_cap": null}', "solver_cap expects an integer, got None"),
+    ('{"solver_cap": "x"}', "solver_cap must be an integer >= 1, got 'x'"),
+    ('{"solver_cap": null}', "solver_cap must be an integer >= 1, got None"),
+    ('{"solver_cap": 0}', "solver_cap must be an integer >= 1, got 0"),
+    ('{"solver_cap": -5}', "solver_cap must be an integer >= 1, got -5"),
     ('{"overrides": [1, 2]}', "overrides expects an object or null, got [1, 2]"),
     ('{"overrides": 5}', "overrides expects an object or null, got 5"),
-    ('{"overrides": {"k_max": true}}', "k_max expects an integer, got True"),
+    ('{"overrides": {"k_max": true}}', "k_max must be an integer >= 1, got True"),
     ("[1, 2]", "a {kind} config must be a JSON object, got list"),
     ('"x"', "a {kind} config must be a JSON object, got str"),
 ]
 BAD_TESTER_CONFIGS = [
-    ('{"retries": "8"}', "retries expects an integer, got '8'"),
-    ('{"retries": 2.0}', "retries expects an integer, got 2.0"),
-    ('{"retries": true}', "retries expects an integer, got True"),
-    ('{"phase1_probes": 2.5}', "phase1_probes expects an integer, got 2.5"),
-    ('{"phase2_samples": "3"}', "phase2_samples expects an integer, got '3'"),
+    ('{"retries": "8"}', "retries must be an integer >= 1, got '8'"),
+    ('{"retries": 2.0}', "retries must be an integer >= 1, got 2.0"),
+    ('{"retries": true}', "retries must be an integer >= 1, got True"),
+    ('{"phase1_probes": 2.5}', "phase1_probes must be an integer >= 1, got 2.5"),
+    ('{"phase2_samples": "3"}', "phase2_samples must be an integer >= 1, got '3'"),
     ('{"cut_threshold": true}', "cut_threshold must be a number in [0, 1], got True"),
     ('{"cut_threshold": "0.5"}', "cut_threshold must be a number in [0, 1], got '0.5'"),
     ('{"cut_threshold": -1}', "cut_threshold must be a number in [0, 1], got -1"),
@@ -359,7 +361,7 @@ def test_viability_census_rejects_a_phase_outside_h_bar(bridge_file, tmp_path, c
     argv = (["census", "--graph", bridge_file, "--kind", "viability",
              "--phase", phase, "--out", str(out)] + set_args())
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: phase {phase} outside [1, 10]\n"
+    assert capsys.readouterr().err == f"error: phase must be an integer in [1, 10], got {phase}\n"
     assert not out.exists()
 
 
@@ -417,7 +419,7 @@ def test_leaky_census_rejects_an_out_of_range_source(bridge_file, capsys):
     argv = (["census", "--graph", bridge_file, "--kind", "leaky", "--source", "8"]
             + set_args())
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: source 8 out of range [0, 8)\n"
+    assert capsys.readouterr().err == "error: source must be an integer in [0, 7], got 8\n"
 
 
 def test_census_cap_requires_force(bridge_file, tmp_path, capsys, monkeypatch):

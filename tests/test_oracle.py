@@ -43,11 +43,17 @@ def test_phase_thresholds_validation():
         PhaseThresholds(())
     with pytest.raises(ValueError, match="final-phase threshold"):
         PhaseThresholds((3, 1))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^size threshold must be an integer >= 0, got -1$"):
         PhaseThresholds((-1, 0))
-    for k in ((2.5, 3, 0), (True, 3, 0), (3, 1, 0.0), ("3", 0)):
-        with pytest.raises(ValueError, match="size thresholds must be integers"):
+    for k, bad in (((2.5, 3, 0), 2.5), ((True, 3, 0), True), ((3, 1, 0.0), 0.0), (("3", 0), "3")):
+        message = rf"^size threshold must be an integer >= 0, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
             PhaseThresholds(k)
+    # for_phase(True) answered k_1; for_phase(1.0) died indexing the tuple.
+    for h in (True, 1.0, "1"):
+        message = rf"^phase must be an integer in \[1, 3\], got {h!r}$"
+        with pytest.raises(ValueError, match=message):
+            PhaseThresholds((3, 1, 0)).for_phase(h)
 
 
 def test_for_phase_is_one_indexed():
@@ -131,6 +137,11 @@ def test_cluster_validates_inputs():
         cluster(g, params, 0, params.ell + 1, 3)
     with pytest.raises(ValueError):
         cluster(g, params, 0, 3, -2)
+    # t=True answered the t=1 cluster; t=2.5 died with a bare TypeError.
+    for t in (True, 2.5):
+        message = rf"^walk length must be an integer in \[0, 20\], got {t}$"
+        with pytest.raises(ValueError, match=message):
+            cluster(g, params, 0, t, 3)
 
 
 @pytest.mark.parametrize("k", [True, False, 2.0, -5])
@@ -142,7 +153,7 @@ def test_a_bool_non_int_or_negative_size_threshold_is_refused(build, k):
     """True would alias k = 1 and False k = 0; a negative k answered the
     singleton and a float died in the sweep with a bare TypeError."""
     g = bridge_graph()
-    with pytest.raises(ValueError, match=rf"^size threshold must be an int >= 0, got {k}$"):
+    with pytest.raises(ValueError, match=rf"^size threshold must be an integer >= 0, got {k}$"):
         build(g, desk_context(g), k)
 
 
@@ -275,7 +286,7 @@ def test_is_free_validates_phase(bridge):
 def test_is_free_refuses_a_bool_or_non_int_phase(bridge, h):
     """``is_free(u, True)`` answered as phase 1."""
     engine = PartitionOracle(bridge, desk_context(bridge))
-    with pytest.raises(ValueError, match=rf"^phase must be an int, got {h!r}$"):
+    with pytest.raises(ValueError, match=rf"^phase must be an integer in \[1, 10\], got {h!r}$"):
         engine.is_free(0, h)
 
 
@@ -292,7 +303,7 @@ def test_engine_vertex_ids_outside_the_graph_are_rejected(bridge, query, v):
     """A bool would alias vertex 0 or 1, and an id outside [0, n) would
     answer for a vertex that is not there or fail deep in a walk."""
     engine = PartitionOracle(bridge, desk_context(bridge))
-    with pytest.raises(ValueError, match=rf"^vertex id must be an int in \[0, 8\), got {v}$"):
+    with pytest.raises(ValueError, match=rf"^vertex id must be an integer in \[0, 7\], got {v}$"):
         query(engine, v)
 
 
