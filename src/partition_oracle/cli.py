@@ -42,7 +42,7 @@ from .graphs import (
     save_graph,
 )
 from .oracle import Partition, PartitionOracle
-from .params import OracleConfigError, ParamError, derive_params, params_to_dict
+from .params import OracleConfigError, ParamError, check_int, derive_params, params_to_dict
 from .seeds import SeedContext
 from .solvers import SolverCapError
 
@@ -273,9 +273,10 @@ def _free_set(g: BoundedDegreeGraph, spec: str) -> tuple[int, ...]:
                     raise ValueError(
                         f"{spec}:{lineno}: expected a vertex id, got {line.strip()!r}"
                     ) from None
-                if not 0 <= u < g.n:
-                    raise ValueError(f"{spec}:{lineno}: vertex {u} out of range [0, {g.n})")
-                ids.append(u)
+                try:
+                    ids.append(check_int(u, "free-set vertex", 0, g.n - 1))
+                except ValueError as exc:
+                    raise ValueError(f"{spec}:{lineno}: {exc}") from None
     return tuple(sorted(ids))
 
 

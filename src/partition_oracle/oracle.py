@@ -10,7 +10,10 @@ answers both ``is_free`` and ``find_anchor``.  A capture scan walks the
 vertex's candidate list: the seeds close enough that their walks can reach
 it.  A cold query finds each list by a breadth-first search from its
 vertex; once scans are open for a quarter of the vertices, as in a sweep,
-the engine builds every list at once, one search per seed.  How far a walk
+the engine builds every list at once, one search per seed.  A piece query
+opens one capture scan, its vertex's, and then one search of the same kind
+from the members of its anchor's cluster finds every earlier seed that can
+take one of them; the engine keeps each finished piece.  How far a walk
 of t steps can reach, reach(t), is ``diffusion.support_radius``, a bound
 that uses the degree cap: a walk moves outward at most as fast as a
 birth-death chain that steps out with probability 1/2 only from its
@@ -24,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diffusion import (
     Diffuser,
@@ -212,6 +215,8 @@ class PartitionOracle:
         # Every vertex's candidate list, built from the seeds' side once
         # capture scans are open for a quarter of the vertices.
         self._lists: list[list[int]] | None = None
+        # Per vertex: its finished piece.
+        self._pieces: dict[int, VertexSet] = {}
 
     # -- diffusion caches ---------------------------------------------------
 
@@ -434,45 +439,54 @@ class PartitionOracle:
                         ball.append(w)
         return tuple(sorted(ball))
 
-    def _candidates(self, u: int) -> list[int]:
-        """``u`` and every seed that can capture it, in processing order.
+    def _seeds_near(self, sources: Iterable[int]) -> list[tuple[int, int]]:
+        """(phase, id) of every seed that can capture one of ``sources``.
 
         A seed's cluster lies in the support of its walk at t_s, plus the
         seed, and that support lies within reach(t_s) of the seed
-        (``support_radius``).  So the list holds ``u`` and every seed ``s``
-        of phase < h_bar with dist(s, u) <= reach(t_s), found by one
-        breadth-first search from ``u`` to radius reach(ell).  Other seeds
-        of phase h_bar have singleton clusters and are left out.  A vertex
-        whose phase and walk length are memoised costs no call: the search
-        reads the memos of the seed context directly.
-
-        This is the search for cold queries, and the tests' reference.
-        Once scans are open for a quarter of the vertices, later scans
-        take the same lists from ``_all_candidates``, built from the
-        seeds' side (see ``_capturer``).
+        (``support_radius``).  So these are the seeds ``s`` of phase < h_bar
+        with dist(s, sources) <= reach(t_s), sources included, found by one
+        breadth-first search from all sources at once to radius reach(ell);
+        unsorted.  Seeds of phase h_bar have singleton clusters and are left
+        out.  A vertex whose phase and walk length are memoised costs no
+        call: the search reads the memos of the seed context directly.
         """
         radii = self._reach_radii()
         ctx = self.ctx
         phases, walk_lens = ctx._phase_memo, ctx._walk_memo
         phase_of, walk_len_of = ctx.phase_of, ctx.walk_len_of
         h_bar, adjacency = self.params.h_bar, self.g.adjacency
-        found = [(phase_of(u), u)]
-        seen = {u}
-        frontier = [u]
-        for r in range(1, radii[-1] + 1):
+        reach = radii[-1]
+        found = []
+        frontier = list(sources)
+        seen = set(frontier)
+        for r in range(reach + 1):
             ring = []
             for w in frontier:
-                for x in adjacency[w]:
-                    if x in seen:
-                        continue
-                    seen.add(x)
-                    ring.append(x)
-                    h = phases.get(x) or phase_of(x)
-                    if h < h_bar and r <= radii[walk_lens.get(x) or walk_len_of(x)]:
-                        found.append((h, x))
-            if not ring:
-                break
+                h = phases.get(w) or phase_of(w)
+                if h < h_bar and r <= radii[walk_lens.get(w) or walk_len_of(w)]:
+                    found.append((h, w))
+                if r < reach:
+                    for x in adjacency[w]:
+                        if x not in seen:
+                            seen.add(x)
+                            ring.append(x)
             frontier = ring
+        return found
+
+    def _candidates(self, u: int) -> list[int]:
+        """``u`` and every seed that can capture it, in processing order:
+        the one-source case of ``_seeds_near``.
+
+        This is the search for cold queries, and the tests' reference.
+        Once scans are open for a quarter of the vertices, later scans
+        take the same lists from ``_all_candidates``, built from the
+        seeds' side (see ``_capturer``).
+        """
+        found = self._seeds_near((u,))
+        h = self.ctx.phase_of(u)
+        if h == self.params.h_bar:
+            found.append((h, u))
         found.sort()
         return [x for _, x in found]
 
@@ -527,13 +541,13 @@ class PartitionOracle:
         found, whatever its phase, else None.
 
         A scan takes its list from one of two builders and must never
-        change it.  A cold query opens a few dozen scans (at most 27 over
-        300 sampled grid-50 queries), each searched from its own vertex
-        (``_candidates``).  A sweep (the tester, the estimator, a local
-        ``partition``) opens one for almost every vertex, and neighbouring
-        searches repeat each other: building every list at once from the
-        seeds' side (``_all_candidates``) costs as much as about 0.09 n
-        per-vertex searches on grids, triangulated grids and trees.  So
+        change it.  A cold piece query given its thresholds opens one
+        scan, its vertex's, searched from that vertex (``_candidates``).
+        A sweep (the tester, the estimator, a local ``partition``) opens
+        one for almost every vertex, and neighbouring searches repeat each
+        other: building every list at once from the seeds' side
+        (``_all_candidates``) costs as much as about 0.09 n per-vertex
+        searches on grids, triangulated grids and trees.  So
         the scan that opens when scans are already open for a quarter of
         the vertices builds the whole table, and every later scan takes
         its list from it by reference; earlier scans keep their own.  A
@@ -589,35 +603,41 @@ class PartitionOracle:
         return anchor
 
     def find_partition(self, v: int) -> VertexSet:
-        """The full piece containing ``v``: BFS over same-anchor vertices.
+        """The full piece containing ``v``: the same-anchor vertices
+        connected to it, searched from the seeds' side.
 
-        A neighbour ``w`` of a member ``u`` is asked for its anchor only if
-        both exact tests leave it possible: ``w`` lies in the cluster of the
-        anchor ``a``, and in no cluster of a seed that ``u``'s capture scan
-        passed before reaching ``a`` (such a seed precedes ``a`` and would
-        anchor ``w`` first).  So no capture scan is opened for a vertex that
-        cannot join the piece.  An anchor already found is compared at once:
-        on a warm engine the second test would cost more than it saves.
+        A member ``w`` of the anchor ``a``'s cluster has anchor ``a``
+        exactly when no seed before ``a`` in processing order has ``w`` in
+        its cluster, and every such seed lies within reach(t_s) of ``w``.
+        So the piece is ``v``'s component of the cluster after dropping the
+        clusters of the seeds ``v``'s capture scan passed, and then of the
+        earlier seeds that one ``_seeds_near`` search from what is left
+        finds.  A cold query opens one capture scan, ``v``'s.  Each piece
+        is kept under every one of its members.
         """
-        a = self.find_anchor(v)
-        members = self._seed_set(a)
-        piece = {v}
+        piece = self._pieces.get(self._vertex(v))
+        if piece is None:
+            a = self._anchor(v)
+            seeds, cursor, _ = self._capture[v]
+            rest = self._component(v, self._seed_set(a).difference(
+                *map(self._seed_set, seeds[:cursor])))
+            key = (self.ctx.phase_of(a), a)
+            earlier = [self._seed_set(s) for h, s in self._seeds_near(rest) if (h, s) < key]
+            piece = tuple(sorted(self._component(v, rest.difference(*earlier))))
+            self._pieces.update(dict.fromkeys(piece, piece))
+        return piece
+
+    def _component(self, v: int, inside: set[int]) -> set[int]:
+        """``v``'s connected component of the subgraph induced on ``inside``."""
+        adjacency = self.g.adjacency
+        comp = {v}
         stack = [v]
         while stack:
-            u = stack.pop()
-            seeds, cursor, _ = self._capture[u]
-            for w in self.g.adjacency[u]:
-                if w in piece or w not in members:
-                    continue
-                scan = self._capture.get(w)
-                if (scan is None or scan[2] is None) and any(
-                    w in self._seed_cluster[s] for s in seeds[:cursor]  # built by the scan
-                ):
-                    continue
-                if self._anchor(w) == a:
-                    piece.add(w)
+            for w in adjacency[stack.pop()]:
+                if w in inside and w not in comp:
+                    comp.add(w)
                     stack.append(w)
-        return tuple(sorted(piece))
+        return comp
 
     # -- global reference ---------------------------------------------------
 

@@ -400,7 +400,7 @@ def test_census_rejects_free_ids_out_of_range(bridge_file, tmp_path, capsys, kin
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "free.txt:3: vertex 8 out of range [0, 8)" in err
+    assert "free.txt:3: free-set vertex must be an integer in [0, 7], got 8" in err
     assert not out.exists()
 
 

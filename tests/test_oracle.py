@@ -456,9 +456,10 @@ def test_a_cold_query_reuses_the_graph_step_tables():
 
 
 def test_a_cold_query_walks_only_what_its_piece_needs():
-    """A cold query asks for the anchor of no neighbour that the anchor's
-    cluster, or an earlier seed's cluster, rules out.  Without that pruning
-    this query walks 36 sources and opens 42 capture scans."""
+    """A cold query walks only the seeds its own capture scan passes and
+    the earlier seeds within reach of its anchor's cluster, and opens no
+    capture scan for another vertex.  Asking each neighbour for its anchor
+    instead walks 36 sources and opens 42 capture scans."""
     g, ctx, thresholds = golden_grid50()
     cold = PartitionOracle(g, ctx, thresholds)
     piece = cold.find_partition(1275)
@@ -466,6 +467,26 @@ def test_a_cold_query_walks_only_what_its_piece_needs():
     assert len(cold._capture) <= 25
     reference = PartitionOracle(g, ctx, thresholds).global_partition()
     assert piece == piece_map(g, reference)[1275]
+
+
+def test_a_cold_query_opens_one_capture_scan():
+    g, ctx, thresholds = golden_grid50()
+    cold = PartitionOracle(g, ctx, thresholds)
+    cold.find_partition(1275)
+    assert set(cold._capture) == {1275}
+    assert len(cold._scans) <= 11
+
+
+def test_every_cold_query_opens_one_capture_scan_and_walks_at_most_32_sources():
+    """Over every 7th grid-50 vertex, each cold query opens its own capture
+    scan only, walks at most 32 sources, and returns the global piece."""
+    g, ctx, thresholds = golden_grid50()
+    pieces = piece_map(g, PartitionOracle(g, ctx, thresholds).global_partition())
+    for v in range(0, g.n, 7):
+        cold = PartitionOracle(g, ctx, thresholds)
+        assert cold.find_partition(v) == pieces[v], v
+        assert set(cold._capture) == {v}, v
+        assert len(cold._scans) <= 32, v
 
 
 def count_whole_graph_builds(monkeypatch) -> list:

@@ -188,6 +188,71 @@ def test_a_cold_piece_query_opens_scans_only_inside_the_anchor_cluster(g, seed):
         assert set(local._capture) <= {v, *cluster}, v
 
 
+def count_cluster_searches(engine: PartitionOracle) -> list[int]:
+    """Count this engine's ``_seeds_near`` searches and candidate-list
+    searches, in a live ``[searches, lists]``; every search that builds no
+    list is a piece search."""
+    counts = [0, 0]
+    near, candidates = engine._seeds_near, engine._candidates
+
+    def counted_near(sources):
+        counts[0] += 1
+        return near(sources)
+
+    def counted_candidates(u):
+        counts[1] += 1
+        return candidates(u)
+
+    engine._seeds_near, engine._candidates = counted_near, counted_candidates
+    return counts
+
+
+def assert_cold_queries_match(g: BoundedDegreeGraph, reference: PartitionOracle) -> None:
+    """A fresh engine per vertex, given the reference's thresholds, returns
+    the vertex's piece of the reference's global partition after opening
+    one capture scan, the vertex's own, and one piece search."""
+    pieces = piece_map(g, reference.global_partition())
+    for v in range(g.n):
+        local = PartitionOracle(g, reference.ctx, reference.thresholds())
+        searches = count_cluster_searches(local)
+        assert local.find_partition(v) == pieces[v], v
+        assert set(local._capture) == {v}, v
+        assert searches[0] - searches[1] == 1, v
+
+
+@PROPERTY_SETTINGS
+@given(graphs, master_seeds)
+def test_a_cold_piece_query_opens_one_capture_scan(g, seed):
+    assert_cold_queries_match(g, engine(g, seed))
+
+
+@PROPERTY_SETTINGS
+@given(grids_with_deletions(), master_seeds)
+def test_cold_piece_queries_in_exact_arithmetic_match_the_global_pass(g, seed):
+    """The same in exact arithmetic, on grids, where the two modes also
+    agree with each other."""
+    exact = PartitionOracle(g, SeedContext(seed, desk_params(g.d, arithmetic="exact")))
+    assert_cold_queries_match(g, exact)
+    assert piece_map(g, exact.global_partition()) == piece_map(
+        g, engine(g, seed).global_partition()
+    )
+
+
+@PROPERTY_SETTINGS
+@given(graphs, master_seeds, st.data())
+def test_a_warm_engine_searches_each_piece_once(g, seed, data):
+    """One engine asked for every vertex's piece, in a drawn order, returns
+    each vertex's piece of the global partition, and runs the piece search
+    once per piece: later members are answered from the finished piece."""
+    reference = engine(g, seed)
+    pieces = piece_map(g, reference.global_partition())
+    local = PartitionOracle(g, reference.ctx, reference.thresholds())
+    searches = count_cluster_searches(local)
+    for v in data.draw(st.permutations(range(g.n))):
+        assert local.find_partition(v) == pieces[v], v
+    assert searches[0] - searches[1] == len(set(pieces.values()))
+
+
 # -- the local findr's internals ----------------------------------------------
 
 @PROPERTY_SETTINGS
