@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .diffusion import Diffuser, exact_number
-from .graphs import BoundedDegreeGraph, VertexSet
+from .graphs import BoundedDegreeGraph, VertexSet, check_has_vertices
 from .oracle import Partition, PartitionOracle, PhaseThresholds, SweepScan
 from .params import OracleParams, check_desk_scale, check_int
 from .seeds import SeedContext
@@ -128,6 +128,7 @@ def leaky_census(
     conductance below 1/(d * ell^(1/3)); the smallest such k is recorded as
     the certificate.
     """
+    check_has_vertices(g)
     check_int(s, "source", 0, g.n - 1)
     check_desk_scale(params)
     free = frozenset(F)
@@ -182,6 +183,7 @@ def good_seed_census(
     A seed qualifies when at least beta*ell/8 of the timesteps 1..ell leave
     truncated-diffusion mass at least beta/16 inside ``F``.
     """
+    check_has_vertices(g)
     if not F:
         raise ValueError("the free set must contain at least one vertex")
     for u in F:  # before the set: True would merge into vertex 1

@@ -35,6 +35,7 @@ from .applications import (
 from .graphs import (
     BoundedDegreeGraph,
     GraphFormatError,
+    check_has_vertices,
     gen_grid,
     gen_random_tree,
     gen_triangulated_grid,
@@ -111,6 +112,7 @@ def _resolved_config(args: argparse.Namespace, **extra) -> dict:
 
 def _oracle_setup(args: argparse.Namespace) -> tuple[BoundedDegreeGraph, SeedContext]:
     g = load_graph(args.graph)
+    check_has_vertices(g)  # before a census reads its free-set file
     overrides = oracle_overrides(_overrides_from_args(args.set))
     params = derive_params(args.eps, g.d, mode=args.mode, overrides=overrides)
     return g, SeedContext(args.seed, params)

@@ -36,6 +36,12 @@ def _check_vertex(v: int, n: int) -> None:
         raise GraphFormatError(f"vertex id {v} out of range [0, {n})")
 
 
+def check_has_vertices(g: "BoundedDegreeGraph") -> None:
+    """Refuse a graph with no vertices: there is nothing to partition."""
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
+
+
 @dataclass(frozen=True)
 class BoundedDegreeGraph:
     """Immutable undirected graph with a hard degree cap ``d``.

@@ -13,7 +13,10 @@ vertex; once scans are open for a quarter of the vertices, as in a sweep,
 the engine builds every list at once, one search per seed.  A piece query
 opens one capture scan, its vertex's, and then one search of the same kind
 from the members of its anchor's cluster finds every earlier seed that can
-take one of them; the engine keeps each finished piece.  How far a walk
+take one of them, or, once the whole-graph lists exist, their lists do;
+the engine keeps each finished piece.  The global pass walks a seed only
+when some still-free vertex lies within reach of it: any other seed
+claims nothing and is viable for no threshold.  How far a walk
 of t steps can reach, reach(t), is ``diffusion.support_radius``, a bound
 that uses the degree cap: a walk moves outward at most as fast as a
 birth-death chain that steps out with probability 1/2 only from its
@@ -37,7 +40,12 @@ from .diffusion import (
     support_radius,
     truncated_diffusion,
 )
-from .graphs import BoundedDegreeGraph, VertexSet, connected_components
+from .graphs import (
+    BoundedDegreeGraph,
+    VertexSet,
+    check_has_vertices,
+    connected_components,
+)
 from .params import OracleParams, check_desk_scale, check_int
 from .seeds import SeedContext
 
@@ -178,9 +186,9 @@ class PartitionOracle:
     Thresholds are chosen phase by phase on first use, once per (graph,
     seed, params): the threshold of phase h when a query or the global pass
     first needs it, after those of the phases before it.  The bundle is
-    checked against desk scale when the engine is built, and given
-    thresholds must cover exactly h_bar phases.  An engine is not safe to
-    share between threads.
+    checked against desk scale when the engine is built, the graph must
+    have a vertex, and given thresholds must cover exactly h_bar phases.
+    An engine is not safe to share between threads.
     """
 
     def __init__(
@@ -189,6 +197,7 @@ class PartitionOracle:
         ctx: SeedContext,
         thresholds: PhaseThresholds | None = None,
     ):
+        check_has_vertices(g)
         check_desk_scale(ctx.params)
         if thresholds is not None and len(thresholds.k) != ctx.params.h_bar:
             raise ValueError(
@@ -270,11 +279,16 @@ class PartitionOracle:
         self._k_of(self.params.h_bar)
         return PhaseThresholds(tuple(self._ks))
 
-    def _k_of(self, h: int, free_test: Callable[[int], bool] | None = None) -> int:
+    def _k_of(
+        self,
+        h: int,
+        free_test: Callable[[int], bool] | None = None,
+        live: Callable[[int], bool] | None = None,
+    ) -> int:
         """k_h, after choosing k_1..k_h in phase order where not yet known.
 
         Phase j < h_bar is chosen by ``threshold_search`` with ``free_test``
-        as the free test when j == h and it is given, else with
+        and ``live`` when j == h and ``free_test`` is given, else with
         ``_free(u, j)``, which is ``is_free`` without its checks; k_h_bar
         is 0.  The list ``_ks`` grows only here.
 
@@ -293,8 +307,11 @@ class PartitionOracle:
             if j == self.params.h_bar:
                 ks.append(0)
                 continue
-            test = free_test if free_test and j == h else lambda u: self._free(u, j)
-            summary, _ = self.threshold_search(j, test, self.params.k_candidates)
+            if free_test and j == h:
+                test, alive = free_test, live
+            else:
+                test, alive = (lambda u: self._free(u, j)), None
+            summary, _ = self.threshold_search(j, test, self.params.k_candidates, live=alive)
             ks.append(summary["chosen_k"])
         return ks[h - 1]
 
@@ -359,11 +376,22 @@ class PartitionOracle:
         return flags
 
     def viable_counts(
-        self, kept: list[int], ks: Sequence[int], free_test: Callable[[int], bool]
+        self,
+        kept: list[int],
+        ks: Sequence[int],
+        free_test: Callable[[int], bool],
+        live: Callable[[int], bool] | None = None,
     ) -> list[int]:
-        """How many of the ``kept`` seeds are viable for each k in ``ks``."""
+        """How many of the ``kept`` seeds are viable for each k in ``ks``.
+
+        A seed that fails ``live``, when given, counts 0 for every k
+        unwalked: the caller vouches that none of its clusters holds a
+        free vertex, and a viable cluster needs at least one.
+        """
         counts = [0] * len(ks)
         for s, times in Counter(kept).items():
+            if live is not None and not live(s):
+                continue
             for i, ok in enumerate(self.viable_flags(s, ks, free_test)):
                 counts[i] += ok * times
         return counts
@@ -374,6 +402,7 @@ class PartitionOracle:
         free_test: Callable[[int], bool],
         ks: Sequence[int],
         count_when_gated: bool = False,
+        live: Callable[[int], bool] | None = None,
     ) -> tuple[dict, list[int]]:
         """findr's search for k_h, given which vertices are free at phase ``h``.
 
@@ -382,7 +411,8 @@ class PartitionOracle:
         phase ``h`` (the gate) or no candidate makes enough kept seeds
         viable (the quota); otherwise it is the candidate with the most
         viable seeds, larger k breaking ties.  A closed gate skips the
-        counting unless ``count_when_gated``.
+        counting unless ``count_when_gated``.  ``live`` goes to
+        ``viable_counts``.
         """
         params = self.params
         sample = self.phase_sample(h)
@@ -391,7 +421,7 @@ class PartitionOracle:
         kept = retained[: params.keep_count]
         quota = 12 * self._beta ** 4 * len(kept)
         counts = (
-            self.viable_counts(kept, ks, free_test)
+            self.viable_counts(kept, ks, free_test, live)
             if count_when_gated or not gated
             else []
         )
@@ -612,8 +642,10 @@ class PartitionOracle:
         So the piece is ``v``'s component of the cluster after dropping the
         clusters of the seeds ``v``'s capture scan passed, and then of the
         earlier seeds that one ``_seeds_near`` search from what is left
-        finds.  A cold query opens one capture scan, ``v``'s.  Each piece
-        is kept under every one of its members.
+        finds.  Once the whole-graph table exists, the members' candidate
+        lists, each read up to ``a``, hold the same seeds, and no search
+        runs.  A cold query opens one capture scan, ``v``'s.  Each piece is
+        kept under every one of its members.
         """
         piece = self._pieces.get(self._vertex(v))
         if piece is None:
@@ -622,8 +654,18 @@ class PartitionOracle:
             rest = self._component(v, self._seed_set(a).difference(
                 *map(self._seed_set, seeds[:cursor])))
             key = (self.ctx.phase_of(a), a)
-            earlier = [self._seed_set(s) for h, s in self._seeds_near(rest) if (h, s) < key]
-            piece = tuple(sorted(self._component(v, rest.difference(*earlier))))
+            if self._lists is None:
+                earlier = {s for h, s in self._seeds_near(rest) if (h, s) < key}
+            else:
+                earlier = set()
+                phases = self.ctx._phase_memo  # the table hashed every vertex
+                for w in rest:
+                    for s in self._lists[w]:
+                        if (phases[s], s) >= key:
+                            break
+                        earlier.add(s)
+            piece = tuple(sorted(self._component(
+                v, rest.difference(*map(self._seed_set, earlier)))))
             self._pieces.update(dict.fromkeys(piece, piece))
         return piece
 
@@ -648,6 +690,15 @@ class PartitionOracle:
         start of phase h, when ``free`` holds exactly the vertices that no
         earlier phase's seed captured.  So the free set at the start of
         phase h is {u : phase(anchor(u)) >= h}.
+
+        From phase 2 on, a seed ``s`` is walked only if it is live: some
+        vertex free at the start of the phase lies within reach(t_s) of it.
+        Every cluster of ``s`` lies in the support of its walk at t_s, plus
+        ``s``, so within reach(t_s) of ``s``.  The free set only shrinks
+        during a phase, so a dead seed's cluster holds no free vertex: as a
+        seed of phase h it claims nothing, and as a kept seed of findr's
+        phase-h search it is viable for no k.  Skipping both is exact.
+        Phase h_bar is not tested: its clusters are singletons, unwalked.
         """
         n = self.g.n
         h_bar = self.params.h_bar
@@ -657,10 +708,34 @@ class PartitionOracle:
         free = [True] * n
         anchors = [-1] * n
         for h in range(1, h_bar + 1):
-            self._k_of(h, free.__getitem__)
+            live = self._near_free(free) if 1 < h < h_bar else None
+            self._k_of(h, free.__getitem__, live)
             for v in seeds_of[h]:
-                for u in self._seed_set(v):
-                    if free[u]:
-                        anchors[u] = v
-                        free[u] = False
+                if live is None or live(v):
+                    for u in self._seed_set(v):
+                        if free[u]:
+                            anchors[u] = v
+                            free[u] = False
         return Partition(anchors=tuple(anchors))
+
+    def _near_free(self, free: list[bool]) -> Callable[[int], bool]:
+        """Whether a seed ``s`` has a vertex marked in ``free`` within
+        reach(t_s), from one breadth-first search from all of them at once
+        to radius reach(ell)."""
+        radii = self._reach_radii()
+        far = radii[-1] + 1  # stands for every distance beyond reach(ell)
+        adjacency = self.g.adjacency
+        frontier = [u for u, is_free in enumerate(free) if is_free]
+        dist = [far] * len(free)
+        for u in frontier:
+            dist[u] = 0
+        for r in range(1, far):
+            ring = []
+            for w in frontier:
+                for x in adjacency[w]:
+                    if dist[x] == far:
+                        dist[x] = r
+                        ring.append(x)
+            frontier = ring
+        walk_len_of = self.ctx.walk_len_of
+        return lambda s: dist[s] <= radii[walk_len_of(s)]

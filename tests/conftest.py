@@ -105,6 +105,24 @@ def global_free_sets(engine) -> tuple[Partition, dict[int, frozenset]]:
     }
 
 
+def reference_global_partition(engine) -> Partition:
+    """The global pass with no seed skipped: every seed of each phase
+    builds its cluster and claims its free members, and findr's search
+    counts every kept seed against ``free.__getitem__``."""
+    n, ctx = engine.g.n, engine.ctx
+    free = [True] * n
+    anchors = [-1] * n
+    for h in range(1, engine.params.h_bar + 1):
+        engine._k_of(h, free.__getitem__)
+        for v in range(n):
+            if ctx.phase_of(v) == h:
+                for u in engine._seed_set(v):
+                    if free[u]:
+                        anchors[u] = v
+                        free[u] = False
+    return Partition(anchors=tuple(anchors))
+
+
 def piece_map(g: BoundedDegreeGraph, partition: Partition) -> dict[int, tuple[int, ...]]:
     """Each vertex's piece of ``partition``, from ``Partition.pieces``."""
     return {v: tuple(piece) for piece in partition.pieces(g) for v in piece}

@@ -219,6 +219,34 @@ def test_query_on_the_grid50_config_returns_the_golden_piece(tmp_path):
     assert tuple(payload["piece"]) == piece_map(g, partition)[1275]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition"] + set_args(),
+        ["partition", "--global"] + set_args(),
+        ["partition", "--check"] + set_args(),
+        ["query", "0"] + set_args(),
+        ["census", "--kind", "viability"] + set_args(),
+        ["census", "--kind", "leaky"] + set_args(),
+        ["census", "--kind", "good-seed"] + set_args(),
+        ["census", "--kind", "good-seed", "--free", "free.txt"] + set_args(),
+        ["test", "--property", "bipartite"],
+        ["estimate", "--scorer", "matching"],
+        ["estimate", "--scorer", "matching", "--samples", "all"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.startswith("--set") and "=" not in a),
+)
+def test_a_graph_with_no_vertices_exits_one(tmp_path, capsys, monkeypatch, argv):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("0 2\n", encoding="ascii")
+    (tmp_path / "free.txt").write_text("0\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--graph", str(empty), "--out", str(out)] + argv[1:]) == 1
+    assert capsys.readouterr().err == "error: graph has no vertices\n"
+    assert not out.exists()
+
+
 def test_query_rejects_out_of_range_vertex(bridge_file, capsys):
     assert main(["query", "--graph", bridge_file, "99"] + set_args()) == 1
     assert capsys.readouterr().err == "error: vertex id must be an integer in [0, 7], got 99\n"

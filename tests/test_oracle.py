@@ -15,6 +15,7 @@ from partition_oracle import (
     conductance,
     derive_params,
     gen_grid,
+    measure_cut,
     truncated_diffusion,
 )
 from partition_oracle.applications import oracle_overrides
@@ -31,6 +32,7 @@ from conftest import (
     global_free_sets,
     load_json,
     piece_map,
+    reference_global_partition,
 )
 
 
@@ -545,3 +547,20 @@ def test_a_cold_query_builds_no_incoming_ball(monkeypatch):
         monkeypatch.setattr(PartitionOracle, name, counted)
     PartitionOracle(g, ctx, thresholds).find_partition(1275)
     assert calls == {"find_ib": 0, "trajectory_masks": 0}
+
+
+def test_the_global_pass_walks_only_the_seeds_with_a_free_vertex_within_reach():
+    """On the golden grid-50, a fresh engine's global pass, findr included,
+    walks at most 600 sources, where the pass that walks every seed walks
+    1,310.  Its thresholds are the golden ones, its anchors those of that
+    pass, and its cut the golden cut."""
+    g, ctx, thresholds = golden_grid50()
+    golden = load_json(DATA_DIR / "grid50_golden.json")
+    fast = PartitionOracle(g, ctx)
+    partition = fast.global_partition()
+    assert len(fast._scans) <= 600  # one walk each
+    assert fast.thresholds() == thresholds
+    assert partition == reference_global_partition(PartitionOracle(g, ctx))
+    report = measure_cut(g, partition)
+    assert report.cut_edges == golden["cut_edges"]
+    assert round(report.singleton_fraction * g.n) == golden["singleton_vertices"]

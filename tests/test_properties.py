@@ -37,6 +37,7 @@ from conftest import (
     desk_params,
     global_free_sets,
     piece_map,
+    reference_global_partition,
     reference_walk,
 )
 
@@ -243,14 +244,18 @@ def test_cold_piece_queries_in_exact_arithmetic_match_the_global_pass(g, seed):
 def test_a_warm_engine_searches_each_piece_once(g, seed, data):
     """One engine asked for every vertex's piece, in a drawn order, returns
     each vertex's piece of the global partition, and runs the piece search
-    once per piece: later members are answered from the finished piece."""
+    at most once per piece: later members are answered from the finished
+    piece, and once the whole-graph table exists no piece is searched."""
     reference = engine(g, seed)
     pieces = piece_map(g, reference.global_partition())
     local = PartitionOracle(g, reference.ctx, reference.thresholds())
     searches = count_cluster_searches(local)
     for v in data.draw(st.permutations(range(g.n))):
         assert local.find_partition(v) == pieces[v], v
-    assert searches[0] - searches[1] == len(set(pieces.values()))
+    piece_searches = searches[0] - searches[1]
+    assert piece_searches <= len(set(pieces.values()))
+    if local._lists is None:
+        assert piece_searches == len(set(pieces.values()))
 
 
 # -- the local findr's internals ----------------------------------------------
@@ -667,3 +672,74 @@ def test_double_mode_reorders_sweeps_only_within_exact_ties(g, seed):
         assert [exact_vec.get(v) for v in double_order] == [
             exact_vec[v] for v in exact_order
         ], s
+
+
+# -- the global pass's skip of dead seeds ----------------------------------------
+
+@st.composite
+def two_components(draw) -> BoundedDegreeGraph:
+    """Two drawn graphs side by side, with no edge between them."""
+    a, b = draw(graphs), draw(graphs)
+    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    return BoundedDegreeGraph.from_edges(a.n + b.n, max(a.d, b.d), edges)
+
+
+@pytest.mark.parametrize("arithmetic", ["double", "exact"])
+@pytest.mark.parametrize("thresholds", ["chosen", "given"])
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(graphs, triangulated_grids(), with_isolated_vertex(), two_components()),
+    master_seeds,
+)
+def test_the_global_pass_equals_the_pass_that_walks_every_seed(arithmetic, thresholds, g, seed):
+    """Skipping the seeds with no free vertex within reach changes neither
+    an anchor nor a threshold, whether the pass chooses the thresholds or
+    is given them."""
+    ctx = SeedContext(seed, desk_params(g.d, arithmetic=arithmetic))
+    reference = PartitionOracle(g, ctx)
+    expected = reference_global_partition(reference)
+    given_k = reference.thresholds() if thresholds == "given" else None
+    fast = PartitionOracle(g, ctx, given_k)
+    assert fast.global_partition() == expected
+    assert fast.thresholds() == reference.thresholds()
+    assert fast._scans.keys() <= reference._scans.keys()
+
+
+@PROPERTY_SETTINGS
+@given(graphs.filter(lambda g: g.n > 1), master_seeds, st.data())
+def test_a_warm_piece_query_reads_the_table_and_runs_no_search(g, seed, data):
+    """Once a sweep has built the whole-graph table, a piece query reads
+    the earlier seeds off its members' lists, runs no ``_seeds_near``
+    search, and still returns the global piece."""
+    reference = engine(g, seed)
+    pieces = piece_map(g, reference.global_partition())
+    local = PartitionOracle(g, reference.ctx, reference.thresholds())
+    for v in range(g.n):
+        local.find_anchor(v)
+    assert local._lists is not None
+
+    def no_search(sources):
+        raise AssertionError("a warm piece query searched")
+
+    local._seeds_near = no_search
+    for v in data.draw(st.permutations(range(g.n))):
+        assert local.find_partition(v) == pieces[v], v
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(grids_with_deletions(), triangulated_grids(), trees(), two_components()),
+    master_seeds,
+    st.data(),
+)
+def test_the_live_test_equals_its_definition(g, seed, data):
+    """A seed ``s`` is live for a free set exactly when some free vertex
+    lies within reach(t_s) of it."""
+    free = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    params = desk_params(g.d)
+    oracle = PartitionOracle(g, SeedContext(seed, params))
+    live = oracle._near_free(free)
+    for s in range(g.n):
+        reach = support_radius(oracle.ctx.walk_len_of(s), params.rho, g.d)
+        near = distances(g, s)
+        assert live(s) == any(free[u] and near[u] <= reach for u in near), s
