@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from .diffusion import Diffuser, exact_number
 from .graphs import BoundedDegreeGraph, VertexSet, check_has_vertices
 from .oracle import Partition, PartitionOracle, PhaseThresholds, SweepScan
-from .params import OracleParams, check_desk_scale, check_int
+from .params import OracleParams, check_degree_bound, check_desk_scale, check_int
 from .seeds import SeedContext
 
 
@@ -131,6 +131,7 @@ def leaky_census(
     check_has_vertices(g)
     check_int(s, "source", 0, g.n - 1)
     check_desk_scale(params)
+    check_degree_bound(params, g.d)
     free = frozenset(F)
     alpha_sq = exact_number(params.alpha) ** 2
     phi_bound = Fraction(1) / (g.d * exact_number(params.ell ** (1 / 3)))
@@ -190,6 +191,7 @@ def good_seed_census(
         check_int(u, "free-set vertex", 0, g.n - 1)
     free = frozenset(F)
     check_desk_scale(params)
+    check_degree_bound(params, g.d)
     beta = exact_number(params.beta)
     mass_bound = beta / 16
     step_quota = beta * params.ell / 8

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 from .diffusion import exact_number
 from .graphs import BoundedDegreeGraph, VertexSet, induced_edges
 from .oracle import PartitionOracle, PhaseThresholds
-from .params import OracleParams, check_int, derive_params
+from .params import OracleParams, check_int, check_real, derive_params
 from .seeds import SeedContext, check_master_seed
 from .solvers import (
     DEFAULT_SOLVER_CAP,
@@ -58,8 +58,8 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
 
     Two keys are not passed through.  ``k_max``: size-threshold candidates
     are stored in configs as a single upper bound and expanded to 1..k_max
-    here.  ``exact``: any nonzero number selects exact arithmetic, zero
-    selects double.
+    here.  ``exact``: any finite nonzero number selects exact arithmetic,
+    zero selects double.
     """
     out: dict[str, object] = {}
     if raw:
@@ -67,9 +67,7 @@ def oracle_overrides(raw: Mapping[str, object] | None) -> dict[str, object]:
             if key == "k_max":
                 out["k_candidates"] = range(1, check_int(value, "k_max", 1) + 1)
             elif key == "exact":
-                if not isinstance(value, (int, float)):
-                    raise ValueError(f"exact expects a number, got {value!r}")
-                out["arithmetic"] = "exact" if value else "double"
+                out["arithmetic"] = "exact" if check_real(value, "exact") else "double"
             else:
                 out[key] = value
     return out

@@ -235,7 +235,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     if args.scorer not in SCORERS:
         raise ValueError(f"unknown scorer {args.scorer!r}; known: {sorted(SCORERS)}")
-    samples = None if args.samples == "all" else int(args.samples)
+    samples = None
+    if args.samples != "all":
+        try:
+            samples = check_int(int(args.samples), "samples", 1)
+        except ValueError:
+            raise ValueError(
+                f"--samples expects a positive integer or 'all', got {args.samples!r}"
+            ) from None
     config = EstimatorConfig.load(args.config) if args.config else EstimatorConfig()
     detail = run_estimator(
         g,

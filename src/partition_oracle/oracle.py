@@ -6,20 +6,20 @@ the per-vertex local query path, and the two are exactly equivalent: a local
 query returns precisely the piece the global procedure would assign.  The
 :class:`PartitionOracle` engine keeps one sweep scan of the walk to t_s
 and one cluster per seed, and one resumable capture scan per vertex, which
-answers both ``is_free`` and ``find_anchor``.  A capture scan walks the
-vertex's candidate list: the seeds close enough that their walks can reach
-it.  A cold query finds each list by a breadth-first search from its
-vertex; once scans are open for a quarter of the vertices, as in a sweep,
+answers both ``is_free`` and ``find_anchor``.  The engine has one local
+primitive, ``_seeds_near``: one breadth-first search from a set of vertices
+finds every seed whose walk can reach one of them.  A capture scan walks
+its vertex's candidate list, the result of that search from the vertex
+alone; once scans are open for a quarter of the vertices, as in a sweep,
 the engine builds every list at once, one search per seed.  A piece query
-opens one capture scan, its vertex's, and then one search of the same kind
-from the members of its anchor's cluster finds every earlier seed that can
-take one of them, or, once the whole-graph lists exist, their lists do;
-the engine keeps each finished piece.  The global pass walks a seed only
-when some still-free vertex lies within reach of it: any other seed
-claims nothing and is viable for no threshold.  How far a walk
-of t steps can reach, reach(t), is ``diffusion.support_radius``, a bound
-that uses the degree cap: a walk moves outward at most as fast as a
-birth-death chain that steps out with probability 1/2 only from its
+opens one capture scan, its vertex's, and then runs the search from the
+members of its anchor's cluster to find every earlier seed that can take
+one of them; the engine keeps each finished piece.  The global pass runs
+the search from the still-free vertices, and walks a seed only when it is
+found: any other seed claims nothing and is viable for no threshold.  How
+far a walk of t steps can reach, reach(t), is ``diffusion.support_radius``,
+a bound that uses the degree cap: a walk moves outward at most as fast as
+a birth-death chain that steps out with probability 1/2 only from its
 start.  Batches of local queries share all of it.  Public methods check
 the vertex ids they are given; the inner paths (findr's free test, the
 piece search) do not.
@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .diffusion import (
     Diffuser,
@@ -46,7 +46,7 @@ from .graphs import (
     check_has_vertices,
     connected_components,
 )
-from .params import OracleParams, check_desk_scale, check_int
+from .params import OracleParams, check_degree_bound, check_desk_scale, check_int
 from .seeds import SeedContext
 
 
@@ -171,8 +171,10 @@ def cluster(
     """The candidate cluster grown from ``v`` by a ``t``-step diffusion.
 
     Returns the singleton ``{v}`` when ``k`` is zero, when ``v`` fell out of
-    its own truncated diffusion, or when no level set qualifies.
+    its own truncated diffusion, or when no level set qualifies.  The
+    bundle must be derived for the graph's degree bound.
     """
+    check_degree_bound(params, g.d)
     check_int(t, "walk length", 0, params.ell)
     if check_int(k, "size threshold", 0) == 0:
         return (v,)
@@ -186,8 +188,9 @@ class PartitionOracle:
     Thresholds are chosen phase by phase on first use, once per (graph,
     seed, params): the threshold of phase h when a query or the global pass
     first needs it, after those of the phases before it.  The bundle is
-    checked against desk scale when the engine is built, the graph must
-    have a vertex, and given thresholds must cover exactly h_bar phases.
+    checked against desk scale and the graph's degree bound when the engine
+    is built, the graph must have a vertex, and given thresholds must cover
+    exactly h_bar phases.
     An engine is not safe to share between threads.
     """
 
@@ -199,6 +202,7 @@ class PartitionOracle:
     ):
         check_has_vertices(g)
         check_desk_scale(ctx.params)
+        check_degree_bound(ctx.params, g.d)
         if thresholds is not None and len(thresholds.k) != ctx.params.h_bar:
             raise ValueError(
                 f"thresholds cover {len(thresholds.k)} phases, expected h_bar={ctx.params.h_bar}"
@@ -283,7 +287,7 @@ class PartitionOracle:
         self,
         h: int,
         free_test: Callable[[int], bool] | None = None,
-        live: Callable[[int], bool] | None = None,
+        live: Container[int] | None = None,
     ) -> int:
         """k_h, after choosing k_1..k_h in phase order where not yet known.
 
@@ -375,34 +379,13 @@ class PartitionOracle:
             flags.append(free_members * b3.denominator >= b3.numerator * k)
         return flags
 
-    def viable_counts(
-        self,
-        kept: list[int],
-        ks: Sequence[int],
-        free_test: Callable[[int], bool],
-        live: Callable[[int], bool] | None = None,
-    ) -> list[int]:
-        """How many of the ``kept`` seeds are viable for each k in ``ks``.
-
-        A seed that fails ``live``, when given, counts 0 for every k
-        unwalked: the caller vouches that none of its clusters holds a
-        free vertex, and a viable cluster needs at least one.
-        """
-        counts = [0] * len(ks)
-        for s, times in Counter(kept).items():
-            if live is not None and not live(s):
-                continue
-            for i, ok in enumerate(self.viable_flags(s, ks, free_test)):
-                counts[i] += ok * times
-        return counts
-
     def threshold_search(
         self,
         h: int,
         free_test: Callable[[int], bool],
         ks: Sequence[int],
         count_when_gated: bool = False,
-        live: Callable[[int], bool] | None = None,
+        live: Container[int] | None = None,
     ) -> tuple[dict, list[int]]:
         """findr's search for k_h, given which vertices are free at phase ``h``.
 
@@ -411,8 +394,11 @@ class PartitionOracle:
         phase ``h`` (the gate) or no candidate makes enough kept seeds
         viable (the quota); otherwise it is the candidate with the most
         viable seeds, larger k breaking ties.  A closed gate skips the
-        counting unless ``count_when_gated``.  ``live`` goes to
-        ``viable_counts``.
+        counting unless ``count_when_gated``.
+
+        A kept seed not in ``live``, when given, counts 0 for every k
+        unwalked: the caller vouches that none of its clusters holds a
+        free vertex, and a viable cluster needs at least one.
         """
         params = self.params
         sample = self.phase_sample(h)
@@ -420,11 +406,13 @@ class PartitionOracle:
         gated = Fraction(len(retained)) <= self._beta * params.sample_count / 2
         kept = retained[: params.keep_count]
         quota = 12 * self._beta ** 4 * len(kept)
-        counts = (
-            self.viable_counts(kept, ks, free_test, live)
-            if count_when_gated or not gated
-            else []
-        )
+        counts = []
+        if count_when_gated or not gated:
+            counts = [0] * len(ks)
+            for s, times in Counter(kept).items():
+                if live is None or s in live:
+                    for i, ok in enumerate(self.viable_flags(s, ks, free_test)):
+                        counts[i] += ok * times
         best = max(((c, k) for k, c in zip(ks, counts) if c >= quota), default=None)
         summary = {
             "h": h,
@@ -469,23 +457,26 @@ class PartitionOracle:
                         ball.append(w)
         return tuple(sorted(ball))
 
-    def _seeds_near(self, sources: Iterable[int]) -> list[tuple[int, int]]:
-        """(phase, id) of every seed that can capture one of ``sources``.
+    def _seeds_near(self, sources: Iterable[int], h_end: int) -> list[tuple[int, int]]:
+        """(phase, id) of every seed of phase < ``h_end`` whose walk can
+        reach one of ``sources``: the engine's only multi-source seed search.
 
-        A seed's cluster lies in the support of its walk at t_s, plus the
+        A seed's clusters lie in the support of its walk at t_s, plus the
         seed, and that support lies within reach(t_s) of the seed
-        (``support_radius``).  So these are the seeds ``s`` of phase < h_bar
-        with dist(s, sources) <= reach(t_s), sources included, found by one
+        (``support_radius``).  So these are the seeds ``s`` with
+        dist(s, sources) <= reach(t_s), sources included, found by one
         breadth-first search from all sources at once to radius reach(ell);
-        unsorted.  Seeds of phase h_bar have singleton clusters and are left
-        out.  A vertex whose phase and walk length are memoised costs no
-        call: the search reads the memos of the seed context directly.
+        unsorted.  Candidate lists pass ``h_end`` = h_bar, since seeds of
+        phase h_bar have singleton clusters; a piece query passes one past
+        its anchor's phase; the global pass's live test passes h_bar + 1.
+        A vertex whose phase and walk length are memoised costs no call:
+        the search reads the memos of the seed context directly.
         """
         radii = self._reach_radii()
         ctx = self.ctx
         phases, walk_lens = ctx._phase_memo, ctx._walk_memo
         phase_of, walk_len_of = ctx.phase_of, ctx.walk_len_of
-        h_bar, adjacency = self.params.h_bar, self.g.adjacency
+        adjacency = self.g.adjacency
         reach = radii[-1]
         found = []
         frontier = list(sources)
@@ -494,7 +485,7 @@ class PartitionOracle:
             ring = []
             for w in frontier:
                 h = phases.get(w) or phase_of(w)
-                if h < h_bar and r <= radii[walk_lens.get(w) or walk_len_of(w)]:
+                if h < h_end and r <= radii[walk_lens.get(w) or walk_len_of(w)]:
                     found.append((h, w))
                 if r < reach:
                     for x in adjacency[w]:
@@ -513,7 +504,7 @@ class PartitionOracle:
         take the same lists from ``_all_candidates``, built from the
         seeds' side (see ``_capturer``).
         """
-        found = self._seeds_near((u,))
+        found = self._seeds_near((u,), self.params.h_bar)
         h = self.ctx.phase_of(u)
         if h == self.params.h_bar:
             found.append((h, u))
@@ -642,44 +633,25 @@ class PartitionOracle:
         So the piece is ``v``'s component of the cluster after dropping the
         clusters of the seeds ``v``'s capture scan passed, and then of the
         earlier seeds that one ``_seeds_near`` search from what is left
-        finds.  Once the whole-graph table exists, the members' candidate
-        lists, each read up to ``a``, hold the same seeds, and no search
-        runs.  A cold query opens one capture scan, ``v``'s.  Each piece is
-        kept under every one of its members.
+        finds; every one of them has phase at most phase(a).  A query opens
+        one capture scan, ``v``'s.  Each piece is kept under every one of
+        its members.
         """
         piece = self._pieces.get(self._vertex(v))
         if piece is None:
             a = self._anchor(v)
             seeds, cursor, _ = self._capture[v]
-            rest = self._component(v, self._seed_set(a).difference(
-                *map(self._seed_set, seeds[:cursor])))
+
+            def component(inside: set[int]) -> list[int]:
+                return next(c for c in connected_components(self.g, inside) if v in c)
+
+            rest = set(component(self._seed_set(a).difference(
+                *map(self._seed_set, seeds[:cursor]))))
             key = (self.ctx.phase_of(a), a)
-            if self._lists is None:
-                earlier = {s for h, s in self._seeds_near(rest) if (h, s) < key}
-            else:
-                earlier = set()
-                phases = self.ctx._phase_memo  # the table hashed every vertex
-                for w in rest:
-                    for s in self._lists[w]:
-                        if (phases[s], s) >= key:
-                            break
-                        earlier.add(s)
-            piece = tuple(sorted(self._component(
-                v, rest.difference(*map(self._seed_set, earlier)))))
+            earlier = [s for h, s in self._seeds_near(rest, key[0] + 1) if (h, s) < key]
+            piece = tuple(component(rest.difference(*map(self._seed_set, earlier))))
             self._pieces.update(dict.fromkeys(piece, piece))
         return piece
-
-    def _component(self, v: int, inside: set[int]) -> set[int]:
-        """``v``'s connected component of the subgraph induced on ``inside``."""
-        adjacency = self.g.adjacency
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w in inside and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        return comp
 
     # -- global reference ---------------------------------------------------
 
@@ -692,13 +664,16 @@ class PartitionOracle:
         phase h is {u : phase(anchor(u)) >= h}.
 
         From phase 2 on, a seed ``s`` is walked only if it is live: some
-        vertex free at the start of the phase lies within reach(t_s) of it.
+        vertex free at the start of the phase lies within reach(t_s) of it,
+        which is to say ``_seeds_near`` from the free vertices finds it.
         Every cluster of ``s`` lies in the support of its walk at t_s, plus
         ``s``, so within reach(t_s) of ``s``.  The free set only shrinks
         during a phase, so a dead seed's cluster holds no free vertex: as a
         seed of phase h it claims nothing, and as a kept seed of findr's
-        phase-h search it is viable for no k.  Skipping both is exact.
-        Phase h_bar is not tested: its clusters are singletons, unwalked.
+        phase-h search it is viable for no k.  Skipping both is exact.  The
+        search takes seeds of every phase, h_bar included, since findr's
+        kept seeds may have phase h_bar.  Phase h_bar itself is not tested:
+        its clusters are singletons, unwalked.
         """
         n = self.g.n
         h_bar = self.params.h_bar
@@ -708,34 +683,15 @@ class PartitionOracle:
         free = [True] * n
         anchors = [-1] * n
         for h in range(1, h_bar + 1):
-            live = self._near_free(free) if 1 < h < h_bar else None
+            live = None
+            if 1 < h < h_bar:
+                sources = [u for u in range(n) if free[u]]
+                live = {s for _, s in self._seeds_near(sources, h_bar + 1)}
             self._k_of(h, free.__getitem__, live)
             for v in seeds_of[h]:
-                if live is None or live(v):
+                if live is None or v in live:
                     for u in self._seed_set(v):
                         if free[u]:
                             anchors[u] = v
                             free[u] = False
         return Partition(anchors=tuple(anchors))
-
-    def _near_free(self, free: list[bool]) -> Callable[[int], bool]:
-        """Whether a seed ``s`` has a vertex marked in ``free`` within
-        reach(t_s), from one breadth-first search from all of them at once
-        to radius reach(ell)."""
-        radii = self._reach_radii()
-        far = radii[-1] + 1  # stands for every distance beyond reach(ell)
-        adjacency = self.g.adjacency
-        frontier = [u for u, is_free in enumerate(free) if is_free]
-        dist = [far] * len(free)
-        for u in frontier:
-            dist[u] = 0
-        for r in range(1, far):
-            ring = []
-            for w in frontier:
-                for x in adjacency[w]:
-                    if dist[x] == far:
-                        dist[x] = r
-                        ring.append(x)
-            frontier = ring
-        walk_len_of = self.ctx.walk_len_of
-        return lambda s: dist[s] <= radii[walk_len_of(s)]

@@ -28,6 +28,9 @@ MAX_FINDR_PHASES = 1_000_000
 MAX_FINDR_SAMPLES = 10_000_000
 MAX_K_CANDIDATES = 1_000_000
 
+# The real-valued fields of a bundle, each checked by ``check_real``.
+_REAL_FIELDS = ("epsilon", "rho", "phi", "beta", "delta", "alpha")
+
 
 class ParamError(ValueError):
     """Raised when a parameter bundle violates its invariants."""
@@ -49,6 +52,15 @@ def check_int(value: object, name: str, lo: int, hi: int | None = None) -> int:
         return value
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_real(value: object, name: str) -> Fraction:
+    """``value`` as an exact Fraction if it is a finite int, float or
+    Fraction; anything else, nan, an infinity, a bool or a string included,
+    is refused with one message shape."""
+    if is_integer(value) or isinstance(value, (float, Fraction)) and math.isfinite(value):
+        return exact_number(value)
+    raise ParamError(f"{name} must be a finite number, got {value!r}")
 
 
 def _pow(base: Fraction, exp: int) -> Fraction:
@@ -101,24 +113,24 @@ class OracleParams:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ParamError(f"{name} must be an integer, got {value!r}")
-        eps = exact_number(self.epsilon)
+        eps, rho, phi, beta, delta, alpha = (
+            check_real(getattr(self, name), name) for name in _REAL_FIELDS
+        )
         if not 0 < eps < 1:
             raise ParamError(f"epsilon must be in (0,1), got {self.epsilon}")
         if self.d < 2:
             raise ParamError(f"degree bound must be >= 2, got {self.d}")
         if self.ell < 1:
             raise ParamError(f"ell must be >= 1, got {self.ell}")
-        rho = exact_number(self.rho)
         if not 0 < rho < 1:
             raise ParamError(f"rho must be in (0,1), got {self.rho}")
-        if exact_number(self.phi) <= 0:
+        if phi <= 0:
             raise ParamError(f"phi must be positive, got {self.phi}")
-        if exact_number(self.beta) <= 0:
+        if beta <= 0:
             raise ParamError(f"beta must be positive, got {self.beta}")
-        delta = exact_number(self.delta)
         if not 0 < delta <= 1:
             raise ParamError(f"delta must be in (0,1], got {self.delta}")
-        if exact_number(self.alpha) <= 0:
+        if alpha <= 0:
             raise ParamError(f"alpha must be positive, got {self.alpha}")
         if self.h_bar < 1:
             raise ParamError(f"h_bar must be >= 1, got {self.h_bar}")
@@ -162,6 +174,15 @@ class OracleParams:
                 raise ParamError(
                     f"formula-mode field {f.name}={value} does not match its formula value"
                 )
+
+
+def check_degree_bound(params: OracleParams, d: int) -> None:
+    """Refuse a bundle derived for another degree bound than the graph's ``d``."""
+    if params.d != d:
+        raise ParamError(
+            f"the parameters were derived for degree bound d={params.d}, "
+            f"but the graph has d={d}"
+        )
 
 
 def check_desk_scale(params: OracleParams) -> None:
@@ -213,9 +234,12 @@ def derive_params(
     if unknown:
         raise ParamError(f"unknown parameter overrides: {sorted(unknown)}")
 
-    eps = exact_number(epsilon)
+    eps = check_real(epsilon, "epsilon")
     if not 0 < eps < 1:
         raise ParamError(f"epsilon must be in (0,1), got {epsilon}")
+    for name in _REAL_FIELDS:  # before the defaults below read the overrides
+        if name in overrides:
+            check_real(overrides[name], name)
     df = Fraction(d)
 
     def pick(name: str, default) -> object:

@@ -165,6 +165,25 @@ def test_non_integer_settings_exit_one(bridge_file, capsys, setting, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (["--eps", "nan"], "epsilon must be a finite number, got nan"),
+        (["--set", "rho=nan"], "rho must be a finite number, got nan"),
+        (["--set", "phi=inf"], "phi must be a finite number, got inf"),
+        (["--set", "beta=-inf"], "beta must be a finite number, got -inf"),
+        (["--set", "alpha=nan"], "alpha must be a finite number, got nan"),
+        (["--set", "delta=nan"], "delta must be a finite number, got nan"),
+        (["--set", "exact=nan"], "exact must be a finite number, got nan"),
+        (["--set", "exact=inf"], "exact must be a finite number, got inf"),
+    ],
+)
+def test_non_finite_settings_exit_one(bridge_file, capsys, setting, message):
+    argv = ["query", "--graph", bridge_file, "0"] + set_args() + setting
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_partition_missing_graph_exits_one(tmp_path, capsys):
     assert main(["partition", "--graph", str(tmp_path / "nope.graph")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -364,6 +383,17 @@ def test_estimate_full_enumeration_on_the_bridge(bridge_file, tmp_path):
 def test_estimate_unknown_scorer_exits_one(bridge_file, capsys):
     assert main(["estimate", "--graph", bridge_file, "--scorer", "clique"]) == 1
     assert "unknown scorer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["abc", "0", "-3", "2.5"])
+def test_estimate_refuses_a_sample_count_that_is_not_a_positive_integer(
+    bridge_file, capsys, samples
+):
+    argv = ["estimate", "--graph", bridge_file, "--scorer", "matching", "--samples", samples]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --samples expects a positive integer or 'all', got {samples!r}\n"
+    )
 
 
 # -------------------------------------------------------------------- census

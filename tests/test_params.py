@@ -7,7 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from partition_oracle import ParamError, derive_params, params_to_dict
+from partition_oracle import (
+    ParamError,
+    PartitionOracle,
+    SeedContext,
+    cluster,
+    derive_params,
+    gen_grid,
+    good_seed_census,
+    leaky_census,
+    params_to_dict,
+)
 from partition_oracle.params import MAX_DESK_ELL, OracleConfigError, check_desk_scale
 
 from conftest import DESK_OVERRIDES, desk_params
@@ -147,6 +157,39 @@ def test_epsilon_and_degree_bounds():
         derive_params(1.0, 3, "explicit", dict(DESK_OVERRIDES))
     with pytest.raises(ParamError, match="degree bound"):
         derive_params(0.1, 1, "explicit", dict(DESK_OVERRIDES))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["epsilon", "rho", "phi", "beta", "delta", "alpha"])
+def test_real_fields_refuse_non_finite_values(name, value):
+    """Refused once, with the field's name, whether the value comes in as
+    an override, as epsilon itself, or in a bundle built directly."""
+    message = f"^{name} must be a finite number, got {value!r}$"
+    over = dict(DESK_OVERRIDES)
+    if name == "epsilon":
+        args = (value, 3)
+    else:
+        args = (0.1, 3)
+        over[name] = value
+    with pytest.raises(ParamError, match=message):
+        derive_params(*args, "explicit", over)
+    with pytest.raises(ParamError, match=message):
+        dataclasses.replace(desk_params(3), **{name: value}).validate()
+
+
+def test_a_bundle_for_another_degree_bound_is_refused():
+    """A bundle derived for d = 6 does not run on a grid, whose d is 4."""
+    g = gen_grid(6, 6)
+    params = desk_params(6)
+    message = "^the parameters were derived for degree bound d=6, but the graph has d=4$"
+    for run in (
+        lambda: PartitionOracle(g, SeedContext(0, params)),
+        lambda: cluster(g, params, 0, 3, 2),
+        lambda: leaky_census(g, params, 0, (0, 1)),
+        lambda: good_seed_census(g, params, (0, 1)),
+    ):
+        with pytest.raises(ParamError, match=message):
+            run()
 
 
 def test_mode_and_arithmetic_are_validated():

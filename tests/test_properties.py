@@ -34,8 +34,10 @@ from partition_oracle.seeds import _FLOAT_DELTA_FLOOR
 
 from conftest import (
     brute_incoming_ball,
+    cycle_graph,
     desk_params,
     global_free_sets,
+    path_graph,
     piece_map,
     reference_global_partition,
     reference_walk,
@@ -196,9 +198,9 @@ def count_cluster_searches(engine: PartitionOracle) -> list[int]:
     counts = [0, 0]
     near, candidates = engine._seeds_near, engine._candidates
 
-    def counted_near(sources):
+    def counted_near(sources, h_end):
         counts[0] += 1
-        return near(sources)
+        return near(sources, h_end)
 
     def counted_candidates(u):
         counts[1] += 1
@@ -244,18 +246,14 @@ def test_cold_piece_queries_in_exact_arithmetic_match_the_global_pass(g, seed):
 def test_a_warm_engine_searches_each_piece_once(g, seed, data):
     """One engine asked for every vertex's piece, in a drawn order, returns
     each vertex's piece of the global partition, and runs the piece search
-    at most once per piece: later members are answered from the finished
-    piece, and once the whole-graph table exists no piece is searched."""
+    once per piece: later members are answered from the finished piece."""
     reference = engine(g, seed)
     pieces = piece_map(g, reference.global_partition())
     local = PartitionOracle(g, reference.ctx, reference.thresholds())
     searches = count_cluster_searches(local)
     for v in data.draw(st.permutations(range(g.n))):
         assert local.find_partition(v) == pieces[v], v
-    piece_searches = searches[0] - searches[1]
-    assert piece_searches <= len(set(pieces.values()))
-    if local._lists is None:
-        assert piece_searches == len(set(pieces.values()))
+    assert searches[0] - searches[1] == len(set(pieces.values()))
 
 
 # -- the local findr's internals ----------------------------------------------
@@ -312,7 +310,8 @@ def test_prefix_count_viability_matches_viable(g, seed, h, extra, beta, density,
             assert len(asked) == len(set(asked)), s
             expected = [oracle.viable(s, h, k, free_set.__contains__) for k in ks]
             assert flags == expected, s
-    assert oracle.viable_counts(kept, ks, free.__contains__) == [
+    _, counts = oracle.threshold_search(h, free.__contains__, ks, count_when_gated=True)
+    assert counts == [
         sum(oracle.viable(s, h, k, free.__contains__) for s in kept) for k in ks
     ]
 
@@ -684,11 +683,22 @@ def two_components(draw) -> BoundedDegreeGraph:
     return BoundedDegreeGraph.from_edges(a.n + b.n, max(a.d, b.d), edges)
 
 
+@st.composite
+def long_paths_and_cycles(draw) -> BoundedDegreeGraph:
+    """A path or a cycle of 60 to 150 vertices: long enough that whole
+    stretches are cleared before the last phases, so dead seeds are common."""
+    n = draw(st.integers(60, 150))
+    return draw(st.sampled_from([path_graph, cycle_graph]))(n)
+
+
 @pytest.mark.parametrize("arithmetic", ["double", "exact"])
 @pytest.mark.parametrize("thresholds", ["chosen", "given"])
 @PROPERTY_SETTINGS
 @given(
-    st.one_of(graphs, triangulated_grids(), with_isolated_vertex(), two_components()),
+    st.one_of(
+        graphs, triangulated_grids(), with_isolated_vertex(), two_components(),
+        long_paths_and_cycles(),
+    ),
     master_seeds,
 )
 def test_the_global_pass_equals_the_pass_that_walks_every_seed(arithmetic, thresholds, g, seed):
@@ -705,41 +715,50 @@ def test_the_global_pass_equals_the_pass_that_walks_every_seed(arithmetic, thres
     assert fast._scans.keys() <= reference._scans.keys()
 
 
-@PROPERTY_SETTINGS
-@given(graphs.filter(lambda g: g.n > 1), master_seeds, st.data())
-def test_a_warm_piece_query_reads_the_table_and_runs_no_search(g, seed, data):
-    """Once a sweep has built the whole-graph table, a piece query reads
-    the earlier seeds off its members' lists, runs no ``_seeds_near``
-    search, and still returns the global piece."""
-    reference = engine(g, seed)
-    pieces = piece_map(g, reference.global_partition())
-    local = PartitionOracle(g, reference.ctx, reference.thresholds())
-    for v in range(g.n):
-        local.find_anchor(v)
-    assert local._lists is not None
-
-    def no_search(sources):
-        raise AssertionError("a warm piece query searched")
-
-    local._seeds_near = no_search
-    for v in data.draw(st.permutations(range(g.n))):
-        assert local.find_partition(v) == pieces[v], v
+def test_the_global_pass_walks_fewer_sources_on_a_long_cycle():
+    """On a 150-vertex cycle the pass skips dead seeds: it walks strictly
+    fewer sources than the pass that walks every seed (101 against 150),
+    with the same anchors and thresholds."""
+    g = cycle_graph(150)
+    ctx = SeedContext(1, desk_params(g.d))
+    reference = PartitionOracle(g, ctx)
+    expected = reference_global_partition(reference)
+    fast = PartitionOracle(g, ctx)
+    assert fast.global_partition() == expected
+    assert fast.thresholds() == reference.thresholds()
+    assert len(fast._scans) < len(reference._scans)
 
 
 @PROPERTY_SETTINGS
 @given(
-    st.one_of(grids_with_deletions(), triangulated_grids(), trees(), two_components()),
+    st.one_of(
+        grids_with_deletions(), triangulated_grids(), trees(), two_components(),
+        long_paths_and_cycles(),
+    ),
     master_seeds,
-    st.data(),
 )
-def test_the_live_test_equals_its_definition(g, seed, data):
-    """A seed ``s`` is live for a free set exactly when some free vertex
-    lies within reach(t_s) of it."""
-    free = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+def test_the_live_test_equals_its_definition(g, seed):
+    """Every live set the global pass builds, from the vertices still free
+    at the start of a phase, holds a seed ``s`` of any phase exactly when
+    some free vertex lies within reach(t_s) of it."""
     params = desk_params(g.d)
     oracle = PartitionOracle(g, SeedContext(seed, params))
-    live = oracle._near_free(free)
-    for s in range(g.n):
-        reach = support_radius(oracle.ctx.walk_len_of(s), params.rho, g.d)
-        near = distances(g, s)
-        assert live(s) == any(free[u] and near[u] <= reach for u in near), s
+    searches = []
+    near = oracle._seeds_near
+
+    def recorded(sources, h_end):
+        sources = list(sources)
+        found = near(sources, h_end)
+        searches.append((sources, found))
+        return found
+
+    oracle._seeds_near = recorded
+    oracle.global_partition()
+    assert len(searches) == params.h_bar - 2  # phases 2..h_bar-1
+    for free, found in searches:
+        live = {s for _, s in found}
+        assert len(live) == len(found)
+        for s in range(g.n):
+            reach = support_radius(oracle.ctx.walk_len_of(s), params.rho, g.d)
+            near_s = distances(g, s)
+            assert (s in live) == any(near_s.get(u, reach + 1) <= reach for u in free), s
