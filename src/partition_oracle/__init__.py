@@ -22,13 +22,8 @@ from .applications import (
     run_tester,
 )
 from .diffusion import (
-    conductance,
-    cut_size,
     exact_number,
     lazy_step,
-    level_set,
-    ls_check_chord,
-    ls_curve,
     ranked_vertices,
     truncate,
     truncated_diffusion,
@@ -76,10 +71,8 @@ __all__ = [
     "SolverCapError",
     "TesterConfig",
     "cluster",
-    "conductance",
     "connected_components",
     "contains_subgraph",
-    "cut_size",
     "derive_params",
     "differential_check",
     "estimate_cut_fraction",
@@ -94,10 +87,7 @@ __all__ = [
     "is_triangle_free",
     "lazy_step",
     "leaky_census",
-    "level_set",
     "load_graph",
-    "ls_check_chord",
-    "ls_curve",
     "maximum_independent_set",
     "maximum_matching",
     "measure_cut",

@@ -1,4 +1,4 @@
-"""Deterministic lazy-walk diffusion, truncation, level sets, and conductance.
+"""Deterministic lazy-walk diffusion: the step, truncation, and their fused form.
 
 A mass vector is a sparse ``dict`` mapping vertex id to a strictly positive
 mass.  Two arithmetic modes are supported: exact rationals
@@ -6,16 +6,15 @@ mass.  Two arithmetic modes are supported: exact rationals
 for benchmark-scale runs.  Double-mode results are deterministic across
 platforms because every accumulation happens in ascending vertex-id order.
 ``support_radius`` bounds how far from its start a truncated diffusion of
-t steps can put mass, from the degree cap alone.
+t steps can put mass, from the degree cap alone, and ``ranked_vertices``
+gives the order in which a sweep reads a vector.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .graphs import BoundedDegreeGraph, VertexSet
+from .graphs import BoundedDegreeGraph
 
 Mass = Union[int, float, Fraction]
 MassVector = dict[int, Mass]
@@ -240,113 +239,3 @@ def truncated_diffusion(
 def ranked_vertices(p: MassVector) -> list[int]:
     """Support of ``p`` ranked by (mass descending, id ascending)."""
     return [v for v, _ in sorted(p.items(), key=lambda item: (-item[1], item[0]))]
-
-
-def level_set(p: MassVector, k: int, n: int) -> VertexSet:
-    """The ``k`` vertices of largest mass, ties broken by ascending id.
-
-    Vertices outside the support rank below every supported vertex, ordered
-    by id among themselves, which makes the operation total for any k <= n.
-    """
-    if k < 0:
-        raise ValueError(f"level-set size must be >= 0, got {k}")
-    if k > n:
-        raise ValueError(f"level-set size {k} exceeds vertex count {n}")
-    ranked = ranked_vertices(p)
-    if k <= len(ranked):
-        return tuple(sorted(ranked[:k]))
-    chosen = set(ranked)
-    fill = []
-    for v in range(n):
-        if v not in chosen:
-            fill.append(v)
-            if len(ranked) + len(fill) == k:
-                break
-    return tuple(sorted(ranked + fill))
-
-
-def cut_size(g: BoundedDegreeGraph, inside: set[int]) -> int:
-    """Number of edges with exactly one endpoint in ``inside``."""
-    cut = 0
-    for u in inside:
-        for v in g.adjacency[u]:
-            if v not in inside:
-                cut += 1
-    return cut
-
-
-def conductance(g: BoundedDegreeGraph, s: VertexSet) -> Fraction:
-    """Cut edges over ``2 * min(|S|, |V \\ S|) * d``, as an exact ratio.
-
-    Undefined (raises) for the empty set and the full vertex set.
-    """
-    size = len(s)
-    if size == 0:
-        raise ValueError("conductance undefined for the empty set")
-    if size >= g.n:
-        raise ValueError("conductance undefined for the full vertex set")
-    inside = set(s)
-    return Fraction(cut_size(g, inside), 2 * min(size, g.n - size) * g.d)
-
-
-@dataclass(frozen=True)
-class LSCurve:
-    """Concave piecewise-linear curve ``x -> sum of the x heaviest masses``.
-
-    Stored as masses sorted descending with prefix sums; evaluation between
-    integers interpolates linearly, and beyond the support the curve is flat.
-    """
-
-    n: int
-    masses: tuple[Mass, ...]
-    prefix: tuple[Mass, ...]
-
-    @property
-    def total(self) -> Mass:
-        return self.prefix[-1]
-
-    def value(self, x: Mass) -> Mass:
-        if x < 0 or x > self.n:
-            raise ValueError(f"curve argument {x} outside [0, {self.n}]")
-        i = math.floor(x)
-        frac = x - i
-        base = self.prefix[i] if i < len(self.prefix) else self.prefix[-1]
-        slope = self.masses[i] if i < len(self.masses) else 0
-        return base + frac * slope
-
-    def slopes(self) -> tuple[Mass, ...]:
-        """Per-unit slopes of the segments; nonincreasing by construction."""
-        return self.masses
-
-
-def ls_curve(p: MassVector, n: int) -> LSCurve:
-    masses = sorted(p.values(), reverse=True)
-    prefix: list[Mass] = [0]
-    for m in masses:
-        prefix.append(prefix[-1] + m)
-    return LSCurve(n=n, masses=tuple(masses), prefix=tuple(prefix))
-
-
-def ls_check_chord(
-    g: BoundedDegreeGraph, p: MassVector, x: int
-) -> tuple[Mass, Mass]:
-    """Chord comparison for one un-truncated lazy step.
-
-    Returns ``(lhs, rhs)`` where lhs is the curve of the stepped vector at
-    ``x`` and rhs is the chord midpoint of the original curve at
-    ``x -+ 2 * min(x, n-x) * phi(S_x)``, ``S_x`` being the level set of the
-    stepped vector with ``x`` vertices.  Every valid input must satisfy
-    ``lhs <= rhs`` up to arithmetic tolerance; the test harness asserts it.
-    """
-    n = g.n
-    if not 1 <= x <= n - 1:
-        raise ValueError(f"chord check needs 1 <= x <= n-1, got x={x}")
-    q = lazy_step(g, p)
-    s_x = level_set(q, x, n)
-    phi = conductance(g, s_x)
-    exact = any(isinstance(m, Fraction) for m in p.values())
-    offset = 2 * min(x, n - x) * (phi if exact else float(phi))
-    curve_p = ls_curve(p, n)
-    lhs = ls_curve(q, n).value(x)
-    rhs = (curve_p.value(x - offset) + curve_p.value(x + offset)) / 2
-    return lhs, rhs

@@ -62,27 +62,26 @@ class BoundedDegreeGraph:
         if d < 1:
             raise GraphFormatError(f"degree bound must be positive, got {d}")
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge {key[0]} {key[1]}")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        for v, nbrs in enumerate(adj):
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # A repeated edge repeats a neighbour in both endpoints' lists, so the
+        # first list with a repeat is that of the edge's smaller endpoint.
+        for u, nbrs in enumerate(adjacency):
+            if len(set(nbrs)) < len(nbrs):
+                w = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
+                raise GraphFormatError(f"duplicate edge {u} {w}")
+        for v, nbrs in enumerate(adjacency):
             if len(nbrs) > d:
                 raise GraphFormatError(
                     f"vertex {v} has degree {len(nbrs)} exceeding bound d={d}"
                 )
-        return cls(n=n, d=d, adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return cls(n=n, d=d, adjacency=adjacency)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -95,13 +94,6 @@ class BoundedDegreeGraph:
                 if u < v:
                     out.append((u, v))
         return out
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
 
 
 def load_graph(path: str | Path) -> BoundedDegreeGraph:

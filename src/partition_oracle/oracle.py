@@ -175,6 +175,7 @@ def cluster(
     bundle must be derived for the graph's degree bound.
     """
     check_degree_bound(params, g.d)
+    check_int(v, "vertex id", 0, g.n - 1)
     check_int(t, "walk length", 0, params.ell)
     if check_int(k, "size threshold", 0) == 0:
         return (v,)
@@ -254,12 +255,9 @@ class PartitionOracle:
         """``v`` itself, checked where a caller hands the engine a vertex id."""
         return check_int(v, "vertex id", 0, self.g.n - 1)
 
-    def vec_at(self, s: int) -> MassVector:
+    def _vec_at(self, s: int) -> MassVector:
         """The truncated diffusion from ``s`` after its walk length t_s,
         walked anew on each call: the engine keeps only its sweep scan."""
-        return self._vec_at(self._vertex(s))
-
-    def _vec_at(self, s: int) -> MassVector:
         for p in self._diffuser.walk(s, self.ctx.walk_len_of(s)):
             pass
         return p

@@ -156,13 +156,3 @@ class SeedContext:
     def sample_vertex(self, n: int, tag: str, *indices: int) -> int:
         """One uar vertex id in [0, n) from the named sampling stream."""
         return self.below(n, tag, *indices)
-
-    def precedes(self, u: int, v: int) -> bool:
-        """The processing order: phase first, vertex id as tie-break."""
-        if u == v:
-            raise ValueError(f"precedes is a strict order; got u = v = {u}")
-        return (self.phase_of(u), u) < (self.phase_of(v), v)
-
-    def order_key(self, v: int) -> tuple[int, int]:
-        return (self.phase_of(v), v)
-

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from partition_oracle import (
     SeedContext,
     derive_params,
     lazy_step,
+    ranked_vertices,
     truncate,
     truncated_diffusion,
 )
@@ -77,6 +79,36 @@ def reference_walk(g: BoundedDegreeGraph, s: int, steps: int, rho, exact: bool) 
         p = truncate(lazy_step(g, p, exact), rho, exact)
         out.append(list(p.items()))
     return out
+
+
+def conductance(g: BoundedDegreeGraph, s) -> Fraction:
+    """Cut edges of ``s`` over ``2 * min(|S|, |V \\ S|) * d``, exactly;
+    ``s`` is neither empty nor every vertex."""
+    inside = set(s)
+    cut = sum(w not in inside for u in inside for w in g.adjacency[u])
+    return Fraction(cut, 2 * min(len(inside), g.n - len(inside)) * g.d)
+
+
+def ls_value(p: dict, x):
+    """The Lovász–Simonovits curve of ``p`` at ``x``: its ``floor(x)``
+    largest masses plus the fraction ``x - floor(x)`` of the next one,
+    flat beyond the support."""
+    masses = sorted(p.values(), reverse=True)
+    i = math.floor(x)
+    return sum(masses[:i]) + (x - i) * (masses[i] if i < len(masses) else 0)
+
+
+def ls_chord(g: BoundedDegreeGraph, p: dict, x: int) -> tuple:
+    """``(lhs, rhs)`` of the chord bound for one un-truncated lazy step q of
+    the float vector ``p``, 1 <= x <= n - 1.  lhs is q's curve at x; rhs is
+    the midpoint of p's curve at x -+ 2 * min(x, n - x) * phi(S), S being
+    q's x heaviest vertices, then those outside its support by id.  The
+    bound is lhs <= rhs, up to roundoff."""
+    q = lazy_step(g, p)
+    ranked = ranked_vertices(q)
+    level = ranked + sorted(set(range(g.n)).difference(ranked))
+    offset = 2 * min(x, g.n - x) * float(conductance(g, level[:x]))
+    return ls_value(q, x), (ls_value(p, x - offset) + ls_value(p, x + offset)) / 2
 
 
 def brute_incoming_ball(g: BoundedDegreeGraph, params, v: int) -> tuple[int, ...]:

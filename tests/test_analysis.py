@@ -9,7 +9,6 @@ from partition_oracle import (
     OracleConfigError,
     Partition,
     PartitionOracle,
-    cut_size,
     differential_check,
     exact_number,
     gen_grid,
@@ -24,6 +23,7 @@ from partition_oracle import (
 
 from conftest import (
     bridge_graph,
+    conductance,
     cycle_graph,
     desk_context,
     desk_params,
@@ -170,7 +170,7 @@ def reference_leaky_rows(g, params, s, free):
             prefix = ranked[:k]
             if Fraction(len([u for u in prefix if u in free])) < alpha_sq * k / 400:
                 continue
-            phi = Fraction(cut_size(g, set(prefix)), 2 * min(k, g.n - k) * g.d)
+            phi = conductance(g, prefix)
             if phi < phi_bound:
                 certificate = (k, float(phi))
                 break

@@ -1,4 +1,4 @@
-"""Lazy-walk steps, truncation, level sets, conductance, and LS curves."""
+"""Lazy-walk steps, truncation, the fused step, and LS curves under a step."""
 from __future__ import annotations
 
 import random
@@ -9,21 +9,24 @@ import pytest
 
 from partition_oracle import (
     BoundedDegreeGraph,
-    conductance,
-    cut_size,
     exact_number,
     gen_grid,
     lazy_step,
-    level_set,
-    ls_check_chord,
-    ls_curve,
     ranked_vertices,
     truncate,
     truncated_diffusion,
 )
 from partition_oracle.diffusion import Diffuser, step_tables
 
-from conftest import BRIDGE_EDGES, bridge_graph, cycle_graph, path_graph, reference_walk
+from conftest import (
+    BRIDGE_EDGES,
+    bridge_graph,
+    cycle_graph,
+    ls_chord,
+    ls_value,
+    path_graph,
+    reference_walk,
+)
 
 
 def test_exact_number_reads_float_decimals_literally():
@@ -107,67 +110,6 @@ def test_ranked_vertices_breaks_ties_by_ascending_id():
     assert ranked_vertices({2: 0.3, 0: 0.3, 1: 0.4}) == [1, 0, 2]
 
 
-def test_level_set_is_total_beyond_the_support():
-    p = {4: 0.6, 1: 0.4}
-    assert level_set(p, 1, 6) == (4,)
-    assert level_set(p, 2, 6) == (1, 4)
-    # vertices outside the support fill in by ascending id
-    assert level_set(p, 4, 6) == (0, 1, 2, 4)
-    assert level_set(p, 6, 6) == (0, 1, 2, 3, 4, 5)
-    assert level_set({}, 2, 5) == (0, 1)
-
-
-def test_level_set_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        level_set({0: 1.0}, -1, 3)
-    with pytest.raises(ValueError):
-        level_set({0: 1.0}, 4, 3)
-
-
-def test_cut_size_and_conductance_examples():
-    p3 = path_graph(3)
-    assert cut_size(p3, {0}) == 1
-    assert conductance(p3, (0,)) == Fraction(1, 4)
-
-    c8 = cycle_graph(8)
-    assert cut_size(c8, {0, 1, 2, 3}) == 2
-    assert conductance(c8, (0, 1, 2, 3)) == Fraction(1, 8)
-
-    bridge = bridge_graph()
-    assert conductance(bridge, (0, 1, 2, 3)) == Fraction(1, 24)
-    assert conductance(bridge, (0, 1, 2, 3, 4, 5)) == Fraction(1, 6)
-
-
-def test_conductance_undefined_on_trivial_sets():
-    g = path_graph(3)
-    with pytest.raises(ValueError, match="empty"):
-        conductance(g, ())
-    with pytest.raises(ValueError, match="full"):
-        conductance(g, (0, 1, 2))
-
-
-def test_ls_curve_interpolates_and_flattens():
-    curve = ls_curve({0: 0.5, 1: 0.3, 2: 0.2}, 5)
-    assert curve.value(0) == 0
-    assert curve.value(1) == 0.5
-    assert curve.value(1.5) == pytest.approx(0.65)
-    assert curve.value(3) == pytest.approx(1.0)
-    assert curve.value(5) == pytest.approx(1.0)  # flat beyond the support
-    assert curve.total == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        curve.value(-0.1)
-    with pytest.raises(ValueError):
-        curve.value(5.1)
-
-
-def test_ls_curve_slopes_are_nonincreasing():
-    rng = random.Random(3)
-    for _ in range(20):
-        p = {v: rng.random() for v in rng.sample(range(30), 8)}
-        slopes = ls_curve(p, 30).slopes()
-        assert all(a >= b for a, b in zip(slopes, slopes[1:]))
-
-
 def test_one_step_curve_is_dominated():
     """A lazy step followed by truncation never raises the LS curve."""
     g = gen_grid(5, 5)
@@ -178,10 +120,8 @@ def test_one_step_curve_is_dominated():
         total = sum(raw.values())
         p = {v: m / total for v, m in raw.items()}
         q = truncate(lazy_step(g, p), 0.001)
-        before = ls_curve(p, g.n)
-        after = ls_curve(q, g.n)
         for x in range(g.n + 1):
-            assert after.value(x) <= before.value(x) + 1e-9
+            assert ls_value(q, x) <= ls_value(p, x) + 1e-9
 
 
 def test_chord_comparison_holds_on_random_vectors():
@@ -193,16 +133,8 @@ def test_chord_comparison_holds_on_random_vectors():
         total = sum(raw.values())
         p = {v: m / total for v, m in raw.items()}
         for x in range(1, g.n):
-            lhs, rhs = ls_check_chord(g, p, x)
+            lhs, rhs = ls_chord(g, p, x)
             assert lhs <= rhs + 1e-9
-
-
-def test_chord_comparison_validates_x():
-    g = cycle_graph(6)
-    with pytest.raises(ValueError):
-        ls_check_chord(g, {0: 1.0}, 0)
-    with pytest.raises(ValueError):
-        ls_check_chord(g, {0: 1.0}, 6)
 
 
 # ------------------------------------------------------- the fused step

@@ -12,7 +12,6 @@ from partition_oracle import (
     PhaseThresholds,
     cluster,
     SeedContext,
-    conductance,
     derive_params,
     gen_grid,
     measure_cut,
@@ -26,6 +25,7 @@ from conftest import (
     DATA_DIR,
     bridge_graph,
     brute_incoming_ball,
+    conductance,
     cycle_graph,
     desk_context,
     desk_params,
@@ -144,6 +144,15 @@ def test_cluster_validates_inputs():
         message = rf"^walk length must be an integer in \[0, 20\], got {t}$"
         with pytest.raises(ValueError, match=message):
             cluster(g, params, 0, t, 3)
+
+
+@pytest.mark.parametrize("v", [-1, True, 99])
+def test_cluster_refuses_a_vertex_id_outside_the_graph(v):
+    """-1 answered the singleton (-1,), True answered for vertex 1 and 99
+    died in the walk with a bare IndexError."""
+    g = gen_grid(6, 6)
+    with pytest.raises(ValueError, match=rf"^vertex id must be an integer in \[0, 35\], got {v}$"):
+        cluster(g, desk_params(g.d), v, 10, 3)
 
 
 @pytest.mark.parametrize("k", [True, False, 2.0, -5])
@@ -298,9 +307,8 @@ def test_is_free_refuses_a_bool_or_non_int_phase(bridge, h):
     lambda engine, v: engine.find_partition(v),
     lambda engine, v: engine.is_free(v, 2),
     lambda engine, v: engine.seed_cluster(v),
-    lambda engine, v: engine.vec_at(v),
     lambda engine, v: engine.cluster_at(v, 3),
-], ids=["find_anchor", "find_partition", "is_free", "seed_cluster", "vec_at", "cluster_at"])
+], ids=["find_anchor", "find_partition", "is_free", "seed_cluster", "cluster_at"])
 def test_engine_vertex_ids_outside_the_graph_are_rejected(bridge, query, v):
     """A bool would alias vertex 0 or 1, and an id outside [0, n) would
     answer for a vertex that is not there or fail deep in a walk."""
@@ -319,7 +327,7 @@ def test_find_anchor_returns_the_minimal_capturing_seed(bridge):
         capturers = [
             s for s in engine.find_ib(v) if v in engine.seed_cluster(s)
         ]
-        assert anchor == min(capturers, key=ctx.order_key)
+        assert anchor == min(capturers, key=lambda s: (ctx.phase_of(s), s))
         assert v in engine.seed_cluster(anchor)
 
 
@@ -417,12 +425,12 @@ def test_engines_on_one_graph_walk_in_turn_like_separate_runs():
     in_turn: dict = {}
     for s in range(g.n):
         for i, engine in enumerate(shared):
-            in_turn[i, s] = list(engine.vec_at(s).items())
+            in_turn[i, s] = list(engine._vec_at(s).items())
             in_turn[i, s, "reach"] = set(engine.trajectory_masks(s))
     for i, ctx in enumerate(contexts):
         alone = PartitionOracle(gen_grid(6, 6), ctx)
         for s in range(g.n):
-            assert list(alone.vec_at(s).items()) == in_turn[i, s], (i, s)
+            assert list(alone._vec_at(s).items()) == in_turn[i, s], (i, s)
             assert alone.trajectory_masks(s) == in_turn[i, s, "reach"], (i, s)
 
 

@@ -171,21 +171,3 @@ def test_sample_vertex_in_range_and_deterministic():
     assert all(0 <= v < g.n for v in draws)
     assert draws == [ctx.sample_vertex(g.n, "findr", 1, i) for i in range(100)]
     assert len(set(draws)) == g.n  # 100 draws from 8 vertices hit all of them
-
-
-def test_precedes_is_a_strict_total_order():
-    ctx = make_ctx()
-    n = 60
-    order = sorted(range(n), key=ctx.order_key)
-    for i in range(n - 1):
-        assert ctx.precedes(order[i], order[i + 1])
-        assert not ctx.precedes(order[i + 1], order[i])
-    assert ctx.precedes(order[0], order[-1])
-    with pytest.raises(ValueError, match="strict order"):
-        ctx.precedes(4, 4)
-
-
-def test_order_key_sorts_by_phase_then_id():
-    ctx = make_ctx()
-    keys = [ctx.order_key(v) for v in range(40)]
-    assert keys == [(ctx.phase_of(v), v) for v in range(40)]

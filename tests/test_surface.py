@@ -1,9 +1,10 @@
 """The package's export surface stays documented and holds what the bench reads.
 
-Every name in ``partition_oracle.__all__`` must resolve and be named, in
-backticks, in README, so the surface cannot grow back unnoticed.  The
-benchmark's workloads reach the package as ``po.<name>``, so each of those
-names must stay an attribute of the package while the surface shrinks.
+README's export list names, in backticks, exactly the names in
+``partition_oracle.__all__``, and each of them resolves, so the surface
+cannot grow back, or shrink, unnoticed.  The benchmark's workloads reach
+the package as ``po.<name>``, so each of those names must stay an
+attribute of the package while the surface shrinks.
 """
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ from conftest import REPO_ROOT
 
 def test_every_export_is_named_in_readme_and_the_bench_still_resolves():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"exports\s+these\s+names\s+and\s+no\s+others:\n\n(.*?)\n\n", readme, re.S)
+    assert listed
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(partition_oracle.__all__)
     for name in partition_oracle.__all__:
         assert hasattr(partition_oracle, name), name
-        assert f"`{name}`" in readme, name
     workloads = (REPO_ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
     bench_names = set(re.findall(r"\bpo\.(\w+)", workloads))
     assert bench_names
