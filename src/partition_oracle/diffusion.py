@@ -237,5 +237,9 @@ def truncated_diffusion(
 
 
 def ranked_vertices(p: MassVector) -> list[int]:
-    """Support of ``p`` ranked by (mass descending, id ascending)."""
-    return [v for v, _ in sorted(p.items(), key=lambda item: (-item[1], item[0]))]
+    """Support of ``p`` ranked by (mass descending, id ascending).
+
+    Two stable sorts: by id, then by mass with ``reverse``, which keeps
+    tied masses in the order they had.
+    """
+    return sorted(sorted(p), key=p.__getitem__, reverse=True)

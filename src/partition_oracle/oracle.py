@@ -10,8 +10,11 @@ answers both ``is_free`` and ``find_anchor``.  The engine has one local
 primitive, ``_seeds_near``: one breadth-first search from a set of vertices
 finds every seed whose walk can reach one of them.  A capture scan walks
 its vertex's candidate list, the result of that search from the vertex
-alone; once scans are open for a quarter of the vertices, as in a sweep,
-the engine builds every list at once, one search per seed.  A piece query
+alone; in a sweep the engine builds every list at once instead, one search
+per seed, before the local threshold search whose free tests would open
+scans for a quarter of the vertices, or else once scans are open for a
+quarter of them.  That search also skips a kept seed unwalked when the
+capture scans around it already show it holds no free vertex.  A piece query
 opens one capture scan, its vertex's, and then runs the search from the
 members of its anchor's cluster to find every earlier seed that can take
 one of them; the engine keeps each finished piece.  The global pass runs
@@ -97,11 +100,10 @@ class SweepScan:
     def __init__(self, g: BoundedDegreeGraph, vec: MassVector, v: int):
         self.g = g
         self.v = v
-        self.in_support = v in vec
         order = ranked_vertices(vec)
         self.order = order
         self.support_size = len(order)
-        pos = {w: i for i, w in enumerate(order)}
+        pos = dict(zip(order, range(len(order))))
         self.pos_v = pos.get(v)
         cutpref = [0]
         cut = 0
@@ -117,13 +119,6 @@ class SweepScan:
         self.v_nbr_pos = sorted(pos[x] for x in g.adjacency[v] if x in pos)
         self.deg_v = g.degree(v)
 
-    def candidate(self, kp: int) -> tuple[int, int, bool]:
-        """(size, cut, v_already_in_prefix) for ``L(kp) ∪ {v}``."""
-        if self.pos_v is not None and self.pos_v < kp:
-            return kp, self.cutpref[kp], True
-        inside = bisect_left(self.v_nbr_pos, kp)
-        return kp + 1, self.cutpref[kp] + self.deg_v - 2 * inside, False
-
     def members(self, kp: int, v_in_prefix: bool) -> VertexSet:
         chosen = self.order[:kp] if v_in_prefix else self.order[:kp] + [self.v]
         return tuple(sorted(chosen))
@@ -138,16 +133,23 @@ class SweepScan:
         """
         picks: list[tuple[int, bool] | None] = [None] * len(ks)
         positive = [k for k in ks if k > 0]
-        if not positive or not self.in_support:
+        if not positive or self.pos_v is None:  # v fell out of its own support
             return picks
         n, d = self.g.n, self.g.d
+        num, den = phi.numerator, phi.denominator
+        cutpref, pos_v = self.cutpref, self.pos_v
+        v_nbr_pos, deg_v = self.v_nbr_pos, self.deg_v
         top = min(2 * max(positive), self.support_size)
         last = [0] * (top + 1)  # the largest acceptable k'' <= k', or 0
         inside = [False] * (top + 1)
         for kp in range(min(positive), top + 1):
-            size, cut, inside[kp] = self.candidate(kp)
-            denom = 2 * min(size, n - size) * d
-            ok = size < n and cut * phi.denominator <= phi.numerator * denom
+            if pos_v < kp:  # v is already in the prefix
+                size, cut = kp, cutpref[kp]
+                inside[kp] = True
+            else:
+                size = kp + 1
+                cut = cutpref[kp] + deg_v - 2 * bisect_left(v_nbr_pos, kp)
+            ok = size < n and cut * den <= num * 2 * min(size, n - size) * d
             last[kp] = kp if ok else last[kp - 1]
         for i, k in enumerate(ks):
             if not 0 < k <= top:
@@ -226,8 +228,8 @@ class PartitionOracle:
         self._seed_cluster: dict[int, frozenset] = {}
         # Per vertex: [candidate list in processing order, cursor, anchor].
         self._capture: dict[int, list] = {}
-        # Every vertex's candidate list, built from the seeds' side once
-        # capture scans are open for a quarter of the vertices.
+        # Every vertex's candidate list, built from the seeds' side once a
+        # sweep is under way (see ``_capturer``).
         self._lists: list[list[int]] | None = None
         # Per vertex: its finished piece.
         self._pieces: dict[int, VertexSet] = {}
@@ -290,9 +292,9 @@ class PartitionOracle:
         """k_h, after choosing k_1..k_h in phase order where not yet known.
 
         Phase j < h_bar is chosen by ``threshold_search`` with ``free_test``
-        and ``live`` when j == h and ``free_test`` is given, else with
-        ``_free(u, j)``, which is ``is_free`` without its checks; k_h_bar
-        is 0.  The list ``_ks`` grows only here.
+        and ``live`` when j == h and ``free_test`` is given, else with the
+        engine's own free test; k_h_bar is 0.  The list ``_ks`` grows only
+        here.
 
         The search for phase j may run inside a capture scan (a seed of
         phase j asks for its cluster), and it calls back into capture scans.
@@ -309,10 +311,7 @@ class PartitionOracle:
             if j == self.params.h_bar:
                 ks.append(0)
                 continue
-            if free_test and j == h:
-                test, alive = free_test, live
-            else:
-                test, alive = (lambda u: self._free(u, j)), None
+            test, alive = (free_test, live) if free_test and j == h else (None, None)
             summary, _ = self.threshold_search(j, test, self.params.k_candidates, live=alive)
             ks.append(summary["chosen_k"])
         return ks[h - 1]
@@ -348,13 +347,31 @@ class PartitionOracle:
         to the longest accepted prefix, serves every k, and ``free_test``
         sees each vertex at most once.
         """
+        return self._count_free(self._viable_picks(s, ks), ks, free_test)
+
+    def _viable_picks(
+        self, s: int, ks: Sequence[int]
+    ) -> tuple[SweepScan, list[tuple[int, bool] | None], int]:
+        """The sweep scan of ``s``, its pick for each k in ``ks`` (None where
+        no cluster or only the singleton {s}, which is never viable, is
+        accepted) and the longest accepted prefix: all but the free tests."""
         scan = self._scan(s)
-        # The singleton {s} is never viable, so its pick asks nothing.
         picks = [
             pick if pick is not None and (pick[0] > 1 or not pick[1]) else None
             for pick in scan.picks(self._phi, ks)
         ]
         longest = max((pick[0] for pick in picks if pick is not None), default=0)
+        return scan, picks, longest
+
+    def _count_free(
+        self,
+        picked: tuple[SweepScan, list[tuple[int, bool] | None], int],
+        ks: Sequence[int],
+        free_test: Callable[[int], bool],
+    ) -> list[bool]:
+        """``viable_flags`` from the result of ``_viable_picks``."""
+        scan, picks, longest = picked
+        s = scan.v
         free_before = [0]
         s_free: bool | None = None
         for u in scan.order[:longest]:
@@ -380,7 +397,7 @@ class PartitionOracle:
     def threshold_search(
         self,
         h: int,
-        free_test: Callable[[int], bool],
+        free_test: Callable[[int], bool] | None,
         ks: Sequence[int],
         count_when_gated: bool = False,
         live: Container[int] | None = None,
@@ -392,11 +409,21 @@ class PartitionOracle:
         phase ``h`` (the gate) or no candidate makes enough kept seeds
         viable (the quota); otherwise it is the candidate with the most
         viable seeds, larger k breaking ties.  A closed gate skips the
-        counting unless ``count_when_gated``.
+        counting unless ``count_when_gated``.  Every kept seed that counts
+        is walked before the first free test.
 
         A kept seed not in ``live``, when given, counts 0 for every k
         unwalked: the caller vouches that none of its clusters holds a
         free vertex, and a viable cluster needs at least one.
+
+        ``free_test`` None means the engine's own free test, ``is_free``
+        without its checks.  From phase 2 on, that search also counts 0
+        unwalked a kept seed not yet walked that ``_captured_around``
+        shows dead.  And when the vertices with open scans, plus the kept
+        seeds that count and their prefixes up to the longest accepted
+        pick, cover a quarter of the graph, it builds every candidate list
+        at once (``_all_candidates``) before its first free test, which
+        would open a scan for most of them.  Neither changes a count.
         """
         params = self.params
         sample = self.phase_sample(h)
@@ -406,11 +433,24 @@ class PartitionOracle:
         quota = 12 * self._beta ** 4 * len(kept)
         counts = []
         if count_when_gated or not gated:
+            times = Counter(kept)
+            seeds = [s for s in times if live is None or s in live]
+            own = free_test is None and h > 1
+            if own:
+                seeds = [s for s in seeds if s in self._scans or not self._captured_around(s, h)]
+            picked = [self._viable_picks(s, ks) for s in seeds]
+            if own and self._lists is None:
+                region = set(self._capture)
+                for scan, _, longest in picked:
+                    region.add(scan.v)
+                    region.update(scan.order[:longest])
+                if 4 * len(region) >= self.g.n:
+                    self._lists = self._all_candidates()
+            test = free_test or (lambda u: self._free(u, h))
             counts = [0] * len(ks)
-            for s, times in Counter(kept).items():
-                if live is None or s in live:
-                    for i, ok in enumerate(self.viable_flags(s, ks, free_test)):
-                        counts[i] += ok * times
+            for s, seed_picks in zip(seeds, picked):
+                for i, ok in enumerate(self._count_free(seed_picks, ks, test)):
+                    counts[i] += ok * times[s]
         best = max(((c, k) for k, c in zip(ks, counts) if c >= quota), default=None)
         summary = {
             "h": h,
@@ -422,6 +462,36 @@ class PartitionOracle:
             "chosen_k": 0 if gated or best is None else best[1],
         }
         return summary, counts
+
+    def _captured_around(self, s: int, h: int) -> bool:
+        """Whether every vertex within reach(t_s) of ``s`` has a capture
+        scan whose anchor is found and has phase < ``h``.
+
+        Then ``s`` is viable for no k at phase h, as a walk of ``s`` would
+        show: its clusters lie within reach(t_s) of it, a found anchor
+        never changes, so none of those vertices is free at phase h, and a
+        viable cluster needs a free member.  The search stops at the first
+        vertex without such a scan.
+        """
+        capture, phases = self._capture, self.ctx._phase_memo
+        adjacency = self.g.adjacency
+        reach = self._reach_radii()[self.ctx.walk_len_of(s)]
+        frontier = [s]
+        seen = {s}
+        for r in range(reach + 1):
+            ring = []
+            for w in frontier:
+                scan = capture.get(w)
+                # An anchor's phase was read, so memoised, when it was found.
+                if scan is None or scan[2] is None or phases[scan[2]] >= h:
+                    return False
+                if r < reach:
+                    for x in adjacency[w]:
+                        if x not in seen:
+                            seen.add(x)
+                            ring.append(x)
+            frontier = ring
+        return True
 
     # -- local query path ---------------------------------------------------
 
@@ -498,9 +568,8 @@ class PartitionOracle:
         the one-source case of ``_seeds_near``.
 
         This is the search for cold queries, and the tests' reference.
-        Once scans are open for a quarter of the vertices, later scans
-        take the same lists from ``_all_candidates``, built from the
-        seeds' side (see ``_capturer``).
+        Once a sweep is under way, later scans take the same lists from
+        ``_all_candidates``, built from the seeds' side (see ``_capturer``).
         """
         found = self._seeds_near((u,), self.params.h_bar)
         h = self.ctx.phase_of(u)
@@ -566,13 +635,18 @@ class PartitionOracle:
         one for almost every vertex, and neighbouring searches repeat each
         other: building every list at once from the seeds' side
         (``_all_candidates``) costs as much as about 0.09 n per-vertex
-        searches on grids, triangulated grids and trees.  So
-        the scan that opens when scans are already open for a quarter of
-        the vertices builds the whole table, and every later scan takes
-        its list from it by reference; earlier scans keep their own.  A
-        sweep searches at most n/4 lists one by one, and work that needs
-        fewer scans than that, a cold query among it, never pays for the
-        table, so per-query work stays independent of n.
+        searches on grids, triangulated grids and trees.  So the table is
+        built by whichever comes first: the local threshold search whose
+        free tests are about to reach a quarter of the vertices (see
+        ``threshold_search``), or, in a sweep given its thresholds, the
+        scan that opens when scans are already open for a quarter of the
+        vertices.  Every later scan takes its list from the table by
+        reference; earlier scans keep their own.  Work that reaches fewer
+        vertices than that never pays for the table: a cold query given its
+        thresholds opens one scan, and one that chooses its own opens scans
+        only for the kept seeds' prefixes of the phases it searches, at
+        most keep_count (2 max k + 1) vertices a phase.  So on larger
+        graphs per-query work stays independent of n.
         """
         scan = self._capture.get(u)
         if scan is None:

@@ -18,6 +18,7 @@ from partition_oracle import (
     truncate,
     truncated_diffusion,
 )
+from partition_oracle.diffusion import exact_number, support_radius
 
 TESTS_DIR = Path(__file__).parent
 REPO_ROOT = TESTS_DIR.parent
@@ -135,6 +136,35 @@ def global_free_sets(engine) -> tuple[Partition, dict[int, frozenset]]:
         h: frozenset(u for u, phase in enumerate(anchor_phase) if phase >= h)
         for h in range(1, engine.params.h_bar + 1)
     }
+
+
+def record_witness_skips(engine) -> list[tuple[int, int]]:
+    """Record each (kept seed, phase) the engine's threshold searches skip
+    unwalked because the capture scans around the seed show it dead."""
+    skips = []
+    witness = engine._captured_around
+
+    def recording(s, h):
+        dead = witness(s, h)
+        if dead:
+            skips.append((s, h))
+        return dead
+
+    engine._captured_around = recording
+    return skips
+
+
+def free_within_reach(engine, free: frozenset, s: int) -> set[int]:
+    """The members of ``free`` within reach(t_s) of ``s``, by plain search."""
+    reach = support_radius(
+        engine.ctx.walk_len_of(s), exact_number(engine.params.rho), engine.g.d
+    )
+    ball = {s}
+    frontier = [s]
+    for _ in range(reach):
+        frontier = [x for w in frontier for x in engine.g.adjacency[w] if x not in ball]
+        ball.update(frontier)
+    return ball & free
 
 
 def reference_global_partition(engine) -> Partition:

@@ -39,7 +39,6 @@ from conftest import (
     bridge_graph,
     conductance,
     cycle_graph,
-    desk_context,
     desk_params,
     global_free_sets,
     load_json,

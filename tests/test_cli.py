@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 
 import pytest

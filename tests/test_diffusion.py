@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partition_oracle import (
     BoundedDegreeGraph,
@@ -108,6 +109,22 @@ def test_truncated_support_never_exceeds_inverse_rho(rho):
 
 def test_ranked_vertices_breaks_ties_by_ascending_id():
     assert ranked_vertices({2: 0.3, 0: 0.3, 1: 0.4}) == [1, 0, 2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["double", "exact"]), st.data())
+def test_ranked_vertices_equals_the_mass_then_id_sort_under_exact_ties(arithmetic, data):
+    """Every mass is drawn from a pool of at most three values, so exact
+    ties are common, and the keys come in a drawn order, not ascending."""
+    if arithmetic == "exact":
+        masses = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1)
+    else:
+        masses = st.floats(min_value=1e-9, max_value=1.0)
+    pool = data.draw(st.lists(masses, min_size=1, max_size=3))
+    ids = data.draw(st.lists(st.integers(0, 10 ** 6), max_size=40, unique=True))
+    p = {v: data.draw(st.sampled_from(pool)) for v in ids}
+    expected = [v for v, _ in sorted(p.items(), key=lambda item: (-item[1], item[0]))]
+    assert ranked_vertices(p) == expected
 
 
 def test_one_step_curve_is_dominated():

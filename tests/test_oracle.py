@@ -1,6 +1,7 @@
 """Clustering, incoming balls, threshold search, and the query pipeline."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,13 @@ from conftest import (
     bridge_graph,
     brute_incoming_ball,
     conductance,
-    cycle_graph,
     desk_context,
     desk_params,
+    free_within_reach,
     global_free_sets,
     load_json,
     piece_map,
+    record_witness_skips,
     reference_global_partition,
 )
 
@@ -524,9 +526,11 @@ def test_a_cold_query_never_builds_the_whole_graph_lists(monkeypatch):
 
 def test_a_local_sweep_builds_the_whole_graph_lists_once(monkeypatch):
     """Asking every vertex for its anchor on a fresh engine, findr
-    included, builds every candidate list once, when scans are open for a
-    quarter of the vertices.  Later scans share the table's lists, no scan
-    changes them, and the answers equal the global pass."""
+    included, builds every candidate list once, before the first free test
+    of the phase-2 threshold search, whose kept seeds' prefixes cover more
+    than a quarter of the vertices.  Only the scan opened before that
+    search, vertex 0's, keeps its own list; later scans share the table's
+    lists, no scan changes them, and the answers equal the global pass."""
     builds = count_whole_graph_builds(monkeypatch)
     g, ctx, _ = golden_grid50()
     sweep = PartitionOracle(g, ctx)
@@ -537,7 +541,42 @@ def test_a_local_sweep_builds_the_whole_graph_lists_once(monkeypatch):
     assert sweep.thresholds() == reference.thresholds()
     assert sweep._lists == reference._all_candidates()
     searched = [u for u, scan in sweep._capture.items() if scan[0] is not sweep._lists[u]]
-    assert len(sweep._capture) == g.n and len(searched) == -(-g.n // 4)
+    assert len(sweep._capture) == g.n and searched == [0]
+
+
+def test_a_cold_query_choosing_its_thresholds_on_a_larger_graph_builds_no_lists(monkeypatch):
+    """With keep_count 5 the kept seeds' prefixes of one threshold search
+    hold at most 5 (2 * 50 + 1) = 505 vertices, under a quarter of the
+    grid-50's 2,500.  A cold query that chooses k_1..k_3 for itself then
+    searches its lists one by one and builds no whole-graph table."""
+    builds = count_whole_graph_builds(monkeypatch)
+    g, ctx, _ = golden_grid50()
+    params = replace(ctx.params, keep_count=5)
+    assert g.n > 4 * params.keep_count * (2 * max(params.k_candidates) + 1)
+    ctx = SeedContext(ctx.master_seed, params)
+    reference = PartitionOracle(g, ctx).global_partition()
+    assert ctx.phase_of(reference.anchors[0]) == 3
+    cold = PartitionOracle(g, ctx)
+    assert cold.find_partition(0) == piece_map(g, reference)[0]
+    assert len(cold._ks) == 3 and len(cold._capture) > 1
+    assert builds == [] and cold._lists is None
+
+
+def test_a_local_sweep_skips_only_dead_kept_seeds_and_walks_at_most_660_sources():
+    """On the golden grid-50, a fresh engine asked for every anchor walks at
+    most 660 sources (879 when every kept seed was walked).  Each kept seed
+    its threshold searches skip unwalked has no vertex within reach(t_s)
+    that is free at the search's phase."""
+    g, ctx, _ = golden_grid50()
+    sweep = PartitionOracle(g, ctx)
+    skips = record_witness_skips(sweep)
+    anchors = tuple(sweep.find_anchor(v) for v in range(g.n))
+    assert len(sweep._scans) <= 660  # one walk each
+    partition, free_sets = global_free_sets(PartitionOracle(g, ctx))
+    assert anchors == partition.anchors
+    assert len(skips) >= 200
+    for s, h in skips:
+        assert not free_within_reach(sweep, free_sets[h], s), (s, h)
 
 
 def test_a_cold_query_builds_no_incoming_ball(monkeypatch):

@@ -36,9 +36,11 @@ from conftest import (
     brute_incoming_ball,
     cycle_graph,
     desk_params,
+    free_within_reach,
     global_free_sets,
     path_graph,
     piece_map,
+    record_witness_skips,
     reference_global_partition,
     reference_walk,
 )
@@ -732,6 +734,55 @@ def test_the_global_pass_walks_fewer_sources_on_a_long_cycle():
     assert fast.global_partition() == expected
     assert fast.thresholds() == reference.thresholds()
     assert len(fast._scans) < len(reference._scans)
+
+
+@pytest.mark.parametrize("arithmetic", ["double", "exact"])
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(graphs, triangulated_grids(), two_components(), long_paths_and_cycles()),
+    master_seeds,
+)
+@example(g=cycle_graph(150), seed=0)  # the sweep skips 6 kept seeds
+def test_a_local_sweep_skips_only_kept_seeds_with_no_free_vertex_within_reach(
+    arithmetic, g, seed
+):
+    """Every kept seed that a local sweep's threshold search for phase h
+    skips unwalked, because the capture scans around it show it dead, has
+    no vertex within reach(t_s) that is free at phase h.  The sweep's
+    anchors and thresholds are the global pass's."""
+    ctx = SeedContext(seed, desk_params(g.d, arithmetic=arithmetic))
+    sweep = PartitionOracle(g, ctx)
+    skips = record_witness_skips(sweep)
+    anchors = [sweep.find_anchor(v) for v in range(g.n)]
+    reference = PartitionOracle(g, ctx)
+    partition, free_sets = global_free_sets(reference)
+    assert anchors == list(partition.anchors)
+    assert sweep.thresholds() == reference.thresholds()
+    for s, h in skips:
+        assert not free_within_reach(sweep, free_sets[h], s), (s, h)
+
+
+@pytest.mark.parametrize("arithmetic", ["double", "exact"])
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(graphs, triangulated_grids(), two_components(), long_paths_and_cycles()),
+    master_seeds,
+)
+def test_the_engines_own_free_test_counts_as_the_global_free_sets_do(arithmetic, g, seed):
+    """``threshold_search(h, None, ...)`` counts as the explicit free set
+    at phase h does, for every phase, on an engine given its thresholds
+    whose capture scans have found anchors of every phase."""
+    ctx = SeedContext(seed, desk_params(g.d, arithmetic=arithmetic))
+    reference = PartitionOracle(g, ctx)
+    _, free_sets = global_free_sets(reference)
+    swept = PartitionOracle(g, ctx, reference.thresholds())
+    for v in range(g.n):
+        swept.find_anchor(v)
+    ks = ctx.params.k_candidates
+    for h in range(2, ctx.params.h_bar):
+        _, own = swept.threshold_search(h, None, ks, count_when_gated=True)
+        _, explicit = swept.threshold_search(h, free_sets[h].__contains__, ks, count_when_gated=True)
+        assert own == explicit, h
 
 
 @PROPERTY_SETTINGS
