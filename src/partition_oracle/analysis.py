@@ -88,6 +88,13 @@ def measure_cut(g: BoundedDegreeGraph, partition: Partition) -> CutReport:
     )
 
 
+def _free_set(g: BoundedDegreeGraph, F: VertexSet) -> frozenset:
+    """``F`` as a set, its ids checked first: True would merge into 1."""
+    for u in F:
+        check_int(u, "free-set vertex", 0, g.n - 1)
+    return frozenset(F)
+
+
 def viability_census(
     g: BoundedDegreeGraph,
     ctx: SeedContext,
@@ -103,11 +110,12 @@ def viability_census(
     """
     check_int(h, "phase", 1, ctx.params.h_bar)
     engine = PartitionOracle(g, ctx)
+    free = _free_set(g, F)
     # The census scans k_range in place of the bundle's candidates.
     check_desk_scale(replace(ctx.params, k_candidates=k_range))
     ks = tuple(k_range)
     summary, counts = engine.threshold_search(
-        h, frozenset(F).__contains__, ks, count_when_gated=True
+        h, free.__contains__, ks, count_when_gated=True
     )
     quota = summary["quota"]
     rows = [
@@ -130,9 +138,9 @@ def leaky_census(
     """
     check_has_vertices(g)
     check_int(s, "source", 0, g.n - 1)
+    free = _free_set(g, F)
     check_desk_scale(params)
     check_degree_bound(params, g.d)
-    free = frozenset(F)
     alpha_sq = exact_number(params.alpha) ** 2
     phi_bound = Fraction(1) / (g.d * exact_number(params.ell ** (1 / 3)))
     k_cap = params.k_cap
@@ -187,9 +195,7 @@ def good_seed_census(
     check_has_vertices(g)
     if not F:
         raise ValueError("the free set must contain at least one vertex")
-    for u in F:  # before the set: True would merge into vertex 1
-        check_int(u, "free-set vertex", 0, g.n - 1)
-    free = frozenset(F)
+    free = _free_set(g, F)
     check_desk_scale(params)
     check_degree_bound(params, g.d)
     beta = exact_number(params.beta)

@@ -153,7 +153,7 @@ def _cut_probe_hits(
     g = engine.g
     hits = 0
     for i in range(samples):
-        u = ctx.sample_vertex(g.n, "cut-probe-v", i)
+        u = ctx.below(g.n, "cut-probe-v", i)
         deg = g.degree(u)
         if deg == 0:
             continue
@@ -224,7 +224,7 @@ def run_tester(
     j, engine, ctx = chosen
     detail["phase1_seed_index"] = j
     for i in range(piece_samples):
-        v = ctx.sample_vertex(g.n, "tester-phase2", i)
+        v = ctx.below(g.n, "tester-phase2", i)
         piece = engine.find_partition(v)
         if not decider(piece, induced_edges(g, piece), config.solver_cap):
             detail.update(
@@ -278,7 +278,7 @@ def run_estimator(
             "seed": master_seed,
         }
     terms = [
-        term(ctx.sample_vertex(g.n, "estimate", i)) for i in range(samples)
+        term(ctx.below(g.n, "estimate", i)) for i in range(samples)
     ]
     mean = sum(terms, Fraction(0)) / samples
     spread = pvariance([float(t) for t in terms]) if samples > 1 else 0.0

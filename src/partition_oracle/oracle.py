@@ -1,31 +1,32 @@
 """The partition oracle: clustering, local queries, and the global reference.
 
 The same fixed randomness — per-vertex phases and walk lengths derived from
-one master seed — drives both the one-shot global partitioning procedure and
-the per-vertex local query path, and the two are exactly equivalent: a local
-query returns precisely the piece the global procedure would assign.  The
-:class:`PartitionOracle` engine keeps one sweep scan of the walk to t_s
-and one cluster per seed, and one resumable capture scan per vertex, which
-answers both ``is_free`` and ``find_anchor``.  The engine has one local
-primitive, ``_seeds_near``: one breadth-first search from a set of vertices
-finds every seed whose walk can reach one of them.  A capture scan walks
-its vertex's candidate list, the result of that search from the vertex
-alone; in a sweep the engine builds every list at once instead, one search
-per seed, before the local threshold search whose free tests would open
-scans for a quarter of the vertices, or else once scans are open for a
-quarter of them.  That search also skips a kept seed unwalked when the
-capture scans around it already show it holds no free vertex.  A piece query
-opens one capture scan, its vertex's, and then runs the search from the
-members of its anchor's cluster to find every earlier seed that can take
-one of them; the engine keeps each finished piece.  The global pass runs
-the search from the still-free vertices, and walks a seed only when it is
-found: any other seed claims nothing and is viable for no threshold.  How
-far a walk of t steps can reach, reach(t), is ``diffusion.support_radius``,
-a bound that uses the degree cap: a walk moves outward at most as fast as
-a birth-death chain that steps out with probability 1/2 only from its
-start.  Batches of local queries share all of it.  Public methods check
-the vertex ids they are given; the inner paths (findr's free test, the
-piece search) do not.
+one master seed — drives both the one-shot global partitioning procedure
+and the per-vertex local query path, and the two are exactly equivalent: a
+local query returns precisely the piece the global procedure would assign.
+Both read that randomness from the seed context's tables ``phases`` and
+``walk_lens``.  The :class:`PartitionOracle` engine keeps one sweep scan of
+the walk to t_s and one cluster per seed, and one resumable capture scan
+per vertex, which answers both ``is_free`` and ``find_anchor``.  The engine
+has one local primitive, ``_seeds_near``: one breadth-first search
+(``_rings``) from a set of vertices finds every seed whose walk can reach
+one of them.  A capture scan walks its vertex's candidate list, the result
+of that search from the vertex alone; in a sweep the engine builds every
+list at once instead, one search per seed, before the local threshold
+search whose free tests would open scans for a quarter of the vertices, or
+else once scans are open for a quarter of them.  That search also skips a
+kept seed unwalked when the capture scans around it already show it holds
+no free vertex.  A piece query opens one capture scan, its vertex's, and
+then runs the search from the members of its anchor's cluster to find every
+earlier seed that can take one of them; the engine keeps each finished
+piece.  The global pass runs the search from the still-free vertices, and
+walks a seed only when it is found: any other seed claims nothing and is
+viable for no threshold.  How far a walk of t steps can reach, reach(t), is
+``diffusion.support_radius``, a bound that uses the degree cap: a walk
+moves outward at most as fast as a birth-death chain that steps out with
+probability 1/2 only from its start.  Batches of local queries share all of
+it.  Public methods check the vertex ids they are given; the inner paths
+(findr's free test, the piece search) do not.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .diffusion import (
     Diffuser,
@@ -260,7 +261,7 @@ class PartitionOracle:
     def _vec_at(self, s: int) -> MassVector:
         """The truncated diffusion from ``s`` after its walk length t_s,
         walked anew on each call: the engine keeps only its sweep scan."""
-        for p in self._diffuser.walk(s, self.ctx.walk_len_of(s)):
+        for p in self._diffuser.walk(s, self.ctx.walk_lens[s]):
             pass
         return p
 
@@ -317,37 +318,24 @@ class PartitionOracle:
         return ks[h - 1]
 
     def phase_sample(self, h: int) -> list[int]:
-        """The findr sampling stream for phase ``h`` (uar, with replacement)."""
-        n = self.g.n
-        return [
-            self.ctx.sample_vertex(n, "findr", h, i)
-            for i in range(self.params.sample_count)
-        ]
+        """The findr sampling stream for phase ``h`` in [1, h_bar] (uar)."""
+        check_int(h, "phase", 1, self.params.h_bar)
+        n, below = self.g.n, self.ctx.below
+        return [below(n, "findr", h, i) for i in range(self.params.sample_count)]
 
     def viable(self, s: int, h: int, k: int, free_test: Callable[[int], bool]) -> bool:
         """findr's viability predicate for seed ``s`` at phase ``h``.
 
         The candidate cluster must be non-singleton and contain at least
         beta^3 * k vertices passing ``free_test``.  This is the definition;
-        findr evaluates it for every k at once with ``viable_flags``.
+        findr evaluates it for every k at once with ``_viable_picks`` and
+        ``_count_free``.
         """
         c = self.cluster_at(s, k)
         if len(c) <= 1:
             return False
         free_members = sum(1 for u in c if free_test(u))
         return Fraction(free_members) >= self._beta ** 3 * k
-
-    def viable_flags(
-        self, s: int, ks: Sequence[int], free_test: Callable[[int], bool]
-    ) -> list[bool]:
-        """``viable(s, h, k, free_test)`` for every k in ``ks``, from one scan.
-
-        Every candidate cluster of ``s`` is a prefix of the ranked order of
-        one sweep scan, plus ``s``; so one prefix count of free members, up
-        to the longest accepted prefix, serves every k, and ``free_test``
-        sees each vertex at most once.
-        """
-        return self._count_free(self._viable_picks(s, ks), ks, free_test)
 
     def _viable_picks(
         self, s: int, ks: Sequence[int]
@@ -369,7 +357,10 @@ class PartitionOracle:
         ks: Sequence[int],
         free_test: Callable[[int], bool],
     ) -> list[bool]:
-        """``viable_flags`` from the result of ``_viable_picks``."""
+        """``viable(s, h, k, free_test)`` for every k in ``ks``, given
+        ``_viable_picks(s, ks)``: every candidate cluster is a prefix of the
+        ranked order plus ``s``, so one prefix count of free members serves
+        every k, and ``free_test`` sees each vertex at most once."""
         scan, picks, longest = picked
         s = scan.v
         free_before = [0]
@@ -402,7 +393,8 @@ class PartitionOracle:
         count_when_gated: bool = False,
         live: Container[int] | None = None,
     ) -> tuple[dict, list[int]]:
-        """findr's search for k_h, given which vertices are free at phase ``h``.
+        """findr's search for k_h, given which vertices are free at phase
+        ``h``, which must be in [1, h_bar] (``phase_sample`` checks it).
 
         Returns a summary and the viable count of each candidate in ``ks``.
         The choice (``chosen_k``) is 0 when too few sampled seeds reach
@@ -427,7 +419,7 @@ class PartitionOracle:
         """
         params = self.params
         sample = self.phase_sample(h)
-        retained = [v for v in sample if self.ctx.phase_of(v) >= h]
+        retained = [v for v in sample if self.ctx.phases[v] >= h]
         gated = Fraction(len(retained)) <= self._beta * params.sample_count / 2
         kept = retained[: params.keep_count]
         quota = 12 * self._beta ** 4 * len(kept)
@@ -471,26 +463,14 @@ class PartitionOracle:
         show: its clusters lie within reach(t_s) of it, a found anchor
         never changes, so none of those vertices is free at phase h, and a
         viable cluster needs a free member.  The search stops at the first
-        vertex without such a scan.
+        vertex without such a scan, before it builds the next ring.
         """
-        capture, phases = self._capture, self.ctx._phase_memo
-        adjacency = self.g.adjacency
-        reach = self._reach_radii()[self.ctx.walk_len_of(s)]
-        frontier = [s]
-        seen = {s}
-        for r in range(reach + 1):
-            ring = []
-            for w in frontier:
+        capture, phases = self._capture, self.ctx.phases
+        for ring in self._rings((s,), self._reach_radii()[self.ctx.walk_lens[s]]):
+            for w in ring:
                 scan = capture.get(w)
-                # An anchor's phase was read, so memoised, when it was found.
                 if scan is None or scan[2] is None or phases[scan[2]] >= h:
                     return False
-                if r < reach:
-                    for x in adjacency[w]:
-                        if x not in seen:
-                            seen.add(x)
-                            ring.append(x)
-            frontier = ring
         return True
 
     # -- local query path ---------------------------------------------------
@@ -502,7 +482,7 @@ class PartitionOracle:
     def _seed_set(self, s: int) -> frozenset:
         c = self._seed_cluster.get(s)
         if c is None:
-            c = frozenset(self.cluster_at(s, self._k_of(self.ctx.phase_of(s))))
+            c = frozenset(self.cluster_at(s, self._k_of(self.ctx.phases[s])))
             self._seed_cluster[s] = c
         return c
 
@@ -525,6 +505,23 @@ class PartitionOracle:
                         ball.append(w)
         return tuple(sorted(ball))
 
+    def _rings(self, sources: Iterable[int], radius: int) -> Iterator[list[int]]:
+        """The distance layers 0..``radius`` around ``sources``, in
+        breadth-first order, each built only when asked for."""
+        adjacency = self.g.adjacency
+        ring = list(sources)
+        seen = set(ring)
+        yield ring
+        for _ in range(radius):
+            outer = []
+            for w in ring:
+                for x in adjacency[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        outer.append(x)
+            ring = outer
+            yield ring
+
     def _seeds_near(self, sources: Iterable[int], h_end: int) -> list[tuple[int, int]]:
         """(phase, id) of every seed of phase < ``h_end`` whose walk can
         reach one of ``sources``: the engine's only multi-source seed search.
@@ -532,35 +529,22 @@ class PartitionOracle:
         A seed's clusters lie in the support of its walk at t_s, plus the
         seed, and that support lies within reach(t_s) of the seed
         (``support_radius``).  So these are the seeds ``s`` with
-        dist(s, sources) <= reach(t_s), sources included, found by one
-        breadth-first search from all sources at once to radius reach(ell);
+        dist(s, sources) <= reach(t_s), sources included, found in the
+        rings around all sources at once out to radius reach(ell);
         unsorted.  Candidate lists pass ``h_end`` = h_bar, since seeds of
         phase h_bar have singleton clusters; a piece query passes one past
         its anchor's phase; the global pass's live test passes h_bar + 1.
-        A vertex whose phase and walk length are memoised costs no call:
-        the search reads the memos of the seed context directly.
+        A walk length is read only for a vertex whose phase is below
+        ``h_end``.
         """
         radii = self._reach_radii()
-        ctx = self.ctx
-        phases, walk_lens = ctx._phase_memo, ctx._walk_memo
-        phase_of, walk_len_of = ctx.phase_of, ctx.walk_len_of
-        adjacency = self.g.adjacency
-        reach = radii[-1]
+        phases, walk_lens = self.ctx.phases, self.ctx.walk_lens
         found = []
-        frontier = list(sources)
-        seen = set(frontier)
-        for r in range(reach + 1):
-            ring = []
-            for w in frontier:
-                h = phases.get(w) or phase_of(w)
-                if h < h_end and r <= radii[walk_lens.get(w) or walk_len_of(w)]:
+        for r, ring in enumerate(self._rings(sources, radii[-1])):
+            for w in ring:
+                h = phases[w]
+                if h < h_end and r <= radii[walk_lens[w]]:
                     found.append((h, w))
-                if r < reach:
-                    for x in adjacency[w]:
-                        if x not in seen:
-                            seen.add(x)
-                            ring.append(x)
-            frontier = ring
         return found
 
     def _candidates(self, u: int) -> list[int]:
@@ -572,7 +556,7 @@ class PartitionOracle:
         ``_all_candidates``, built from the seeds' side (see ``_capturer``).
         """
         found = self._seeds_near((u,), self.params.h_bar)
-        h = self.ctx.phase_of(u)
+        h = self.ctx.phases[u]
         if h == self.params.h_bar:
             found.append((h, u))
         found.sort()
@@ -595,19 +579,20 @@ class PartitionOracle:
         h_bar then goes last on its own list.  Distance is symmetric, so
         list u equals ``_candidates(u)`` entry for entry.
         """
+        # Stamps, not ``_rings``: a seen set per seed built grid-50's table in 38 ms, not 28.
         radii = self._reach_radii()
-        phase_of, walk_len_of = self.ctx.phase_of, self.ctx.walk_len_of
+        phases, walk_lens = self.ctx.phases, self.ctx.walk_lens
         h_bar, adjacency = self.params.h_bar, self.g.adjacency
         n = self.g.n
         lists: list[list[int]] = [[] for _ in range(n)]
         last = [-1] * n  # the seed whose search last reached each vertex
-        for h, s in sorted((phase_of(v), v) for v in range(n)):
+        for h, s in sorted((phases[v], v) for v in range(n)):
             lists[s].append(s)
             if h == h_bar:
                 continue
             last[s] = s
             frontier = [s]
-            for _ in range(radii[walk_len_of(s)]):
+            for _ in range(radii[walk_lens[s]]):
                 ring = []
                 for w in frontier:
                     for x in adjacency[w]:
@@ -657,7 +642,7 @@ class PartitionOracle:
             self._capture[u] = scan
         seeds, i, anchor = scan
         if anchor is None:
-            phases = self.ctx._phase_memo  # both builders hash every entry
+            phases = self.ctx.phases
             while i < len(seeds) and phases[seeds[i]] < h:
                 if u in self._seed_set(seeds[i]):
                     anchor = seeds[i]
@@ -680,7 +665,7 @@ class PartitionOracle:
         if h == 1:
             return True
         anchor = self._capturer(u, h)
-        return anchor is None or self.ctx.phase_of(anchor) >= h
+        return anchor is None or self.ctx.phases[anchor] >= h
 
     def find_anchor(self, v: int) -> int:
         """The first seed in processing order whose cluster contains ``v``."""
@@ -719,7 +704,7 @@ class PartitionOracle:
 
             rest = set(component(self._seed_set(a).difference(
                 *map(self._seed_set, seeds[:cursor]))))
-            key = (self.ctx.phase_of(a), a)
+            key = (self.ctx.phases[a], a)
             earlier = [s for h, s in self._seeds_near(rest, key[0] + 1) if (h, s) < key]
             piece = tuple(component(rest.difference(*map(self._seed_set, earlier))))
             self._pieces.update(dict.fromkeys(piece, piece))
@@ -751,7 +736,7 @@ class PartitionOracle:
         h_bar = self.params.h_bar
         seeds_of: list[list[int]] = [[] for _ in range(h_bar + 1)]
         for v in range(n):
-            seeds_of[self.ctx.phase_of(v)].append(v)
+            seeds_of[self.ctx.phases[v]].append(v)
         free = [True] * n
         anchors = [-1] * n
         for h in range(1, h_bar + 1):

@@ -4,7 +4,8 @@ Every random quantity the oracle consumes — per-vertex phases, per-vertex
 walk lengths, and the findr sampling stream — is a deterministic function of
 ``(master_seed, purpose-tag, indices)``.  Values are produced by hashing the
 key with BLAKE2b, which gives O(1) random access, no shared stream state,
-and bit-identical results across platforms and processes.
+and bit-identical results across platforms and processes.  Phases and walk
+lengths live in two tables that draw each vertex's value on first read.
 """
 from __future__ import annotations
 
@@ -23,10 +24,14 @@ _TWO_53 = float(1 << 53)
 _FLOAT_DELTA_FLOOR = 1e-9
 
 
-def _encode_index(i: int) -> bytes:
+def _check_index(i: int) -> int:
     if type(i) is not int or i < 0:  # bools too: True would alias 1
         raise ValueError(f"hash index must be a nonnegative int, got {i!r}")
-    size = (i.bit_length() + 7) >> 3 or 1
+    return i
+
+
+def _encode_index(i: int) -> bytes:
+    size = (_check_index(i).bit_length() + 7) >> 3 or 1
     # 0x1f, the byte count, then the bytes of i, little-endian.
     return ((i << 16) | (size << 8) | 0x1F).to_bytes(size + 2, "little")
 
@@ -85,13 +90,29 @@ def check_master_seed(seed: int) -> int:
     return seed
 
 
+class _Draws(dict):
+    """Vertex id -> value, hashed on first read and kept.  A read that
+    hits checks no id (True finds vertex 1's entry): pass int ids."""
+
+    def __init__(self, prefix, draw):
+        self._prefix = prefix
+        self._draw = draw
+
+    def __missing__(self, v: int) -> int:
+        keyed = self._prefix.copy()
+        keyed.update(_encode_index(v))
+        value = self[v] = self._draw(keyed)
+        return value
+
+
 class SeedContext:
     """Master seed plus parameters; hands out all per-vertex randomness.
 
     Every value is BLAKE2b keyed by the master seed over the tag and the
     indices.  The context keeps the hash state after key and tag, one per
-    tag, and copies it per value; phases and walk lengths are hashed that
-    way directly and memoised.
+    tag, and copies it per value.  ``phases`` and ``walk_lens`` are tables
+    of int vertex ids that draw a value on first read and keep it;
+    ``phase_of`` and ``walk_len_of`` read them after checking the id.
     """
 
     def __init__(self, master_seed: int, params: OracleParams):
@@ -99,10 +120,16 @@ class SeedContext:
         self.params = params
         self._key = master_seed.to_bytes(8, "little")
         self._prefixes: dict[str, object] = {}
-        self._phase_prefix = self._prefix("phase")
-        self._walk_prefix = self._prefix("walk")
-        self._phase_memo: dict[int, int] = {}
-        self._walk_memo: dict[int, int] = {}
+
+        def phase(keyed) -> int:
+            u = (int.from_bytes(keyed.digest(), "little") >> 11) / _TWO_53
+            return geometric_from_uniform(u, params.delta, params.h_bar)
+
+        def walk_len(keyed) -> int:
+            return _draw_below(params.ell, keyed) + 1
+
+        self.phases = _Draws(self._prefix("phase"), phase)
+        self.walk_lens = _Draws(self._prefix("walk"), walk_len)
 
     def _prefix(self, tag: str):
         """The hash state after the key and ``tag``; copy it before use."""
@@ -122,10 +149,6 @@ class SeedContext:
     def u64(self, tag: str, *indices: int) -> int:
         return int.from_bytes(self._keyed(tag, indices).digest(), "little")
 
-    def uniform(self, tag: str, *indices: int) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.u64(tag, *indices) >> 11) / _TWO_53
-
     def below(self, upper: int, tag: str, *indices: int) -> int:
         """Exact uniform integer in [0, upper) by rejection sampling."""
         if upper < 1:
@@ -134,25 +157,9 @@ class SeedContext:
 
     def phase_of(self, v: int) -> int:
         """The phase h_v in [1, h_bar]: capped geometric with rate delta,
-        from ``uniform("phase", v)``."""
-        h = self._phase_memo.get(v)
-        if h is None or type(v) is not int:  # True would hit vertex 1's memo
-            keyed = self._phase_prefix.copy()
-            keyed.update(_encode_index(v))
-            u = (int.from_bytes(keyed.digest(), "little") >> 11) / _TWO_53
-            h = geometric_from_uniform(u, self.params.delta, self.params.h_bar)
-            self._phase_memo[v] = h
-        return h
+        from the top 53 bits of ``u64("phase", v)``."""
+        return self.phases[_check_index(v)]
 
     def walk_len_of(self, v: int) -> int:
         """The walk length t_v, uniform in [1, ell]: ``below(ell, "walk", v) + 1``."""
-        t = self._walk_memo.get(v)
-        if t is None or type(v) is not int:  # True would hit vertex 1's memo
-            keyed = self._walk_prefix.copy()
-            keyed.update(_encode_index(v))
-            t = self._walk_memo[v] = _draw_below(self.params.ell, keyed) + 1
-        return t
-
-    def sample_vertex(self, n: int, tag: str, *indices: int) -> int:
-        """One uar vertex id in [0, n) from the named sampling stream."""
-        return self.below(n, tag, *indices)
+        return self.walk_lens[_check_index(v)]

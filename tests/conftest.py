@@ -71,6 +71,22 @@ def desk_context(g: BoundedDegreeGraph, master_seed: int = 42, **over) -> SeedCo
     return SeedContext(master_seed, desk_params(g.d, **over))
 
 
+def distances(g: BoundedDegreeGraph, *sources: int) -> dict[int, int]:
+    """Graph distance from the nearest of ``sources`` to every vertex they
+    can reach, by plain breadth-first search."""
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    while frontier:
+        ring = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    ring.append(w)
+        frontier = ring
+    return dist
+
+
 def reference_walk(g: BoundedDegreeGraph, s: int, steps: int, rho, exact: bool) -> list[list]:
     """The items of the truncated diffusion from ``s`` after steps
     1..``steps``, from ``lazy_step`` and ``truncate`` alone."""

@@ -144,6 +144,20 @@ def test_good_seed_census_refuses_a_free_id_outside_the_graph(u):
         good_seed_census(cycle_graph(8), desk_params(2), (0, 1, u))
 
 
+@pytest.mark.parametrize("u", [True, 8, -1])
+@pytest.mark.parametrize("census", [
+    lambda g, free: viability_census(g, desk_context(g), 1, free, range(1, 6)),
+    lambda g, free: leaky_census(g, desk_params(2), 0, free),
+    lambda g, free: good_seed_census(g, desk_params(2), free),
+], ids=["viability", "leaky", "good-seed"])
+def test_every_census_refuses_a_free_id_outside_the_graph(census, u):
+    """The viability and leaky censuses took True as vertex 1 and dropped
+    8 and -1 without an error."""
+    message = rf"^free-set vertex must be an integer in \[0, 7\], got {u}$"
+    with pytest.raises(ValueError, match=message):
+        census(cycle_graph(8), (0, 2, u))
+
+
 def test_census_vertex_checks_come_before_the_desk_scale_check():
     huge = desk_params(2, rho=1e-8, sample_count=10**8)
     with pytest.raises(ValueError, match=r"^source must be an integer in \[0, 7\], got 8$"):

@@ -242,6 +242,19 @@ def test_phase_sample_is_reproducible():
     assert sample == PartitionOracle(g, desk_context(g)).phase_sample(1)
 
 
+@pytest.mark.parametrize("h", [0, 11, True])
+@pytest.mark.parametrize("search", [
+    lambda engine, h: engine.phase_sample(h),
+    lambda engine, h: engine.threshold_search(h, None, range(1, 6)),
+], ids=["phase_sample", "threshold_search"])
+def test_findr_refuses_a_phase_outside_h_bar(bridge, search, h):
+    """``threshold_search(0, ...)`` chose a threshold from 200 retained
+    samples, and ``phase_sample(11)`` drew 200 vertices."""
+    engine = PartitionOracle(bridge, desk_context(bridge))
+    with pytest.raises(ValueError, match=rf"^phase must be an integer in \[1, 10\], got {h}$"):
+        search(engine, h)
+
+
 def test_a_cold_anchor_query_searches_only_the_phases_its_scan_reaches(
     bridge, monkeypatch
 ):

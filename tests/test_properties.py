@@ -36,6 +36,7 @@ from conftest import (
     brute_incoming_ball,
     cycle_graph,
     desk_params,
+    distances,
     free_within_reach,
     global_free_sets,
     path_graph,
@@ -308,7 +309,7 @@ def test_prefix_count_viability_matches_viable(g, seed, h, extra, beta, density,
                 asked.append(u)
                 return u in free_set
 
-            flags = oracle.viable_flags(s, ks, free_test)
+            flags = oracle._count_free(oracle._viable_picks(s, ks), ks, free_test)
             assert len(asked) == len(set(asked)), s
             expected = [oracle.viable(s, h, k, free_set.__contains__) for k in ks]
             assert flags == expected, s
@@ -437,19 +438,22 @@ def test_walk_yields_the_reference_walk(family, exact, data):
 
 # -- candidate lists, walk reach, and the two arithmetic modes -----------------
 
-def distances(g: BoundedDegreeGraph, s: int) -> dict[int, int]:
-    """Graph distance from ``s`` to every vertex it can reach."""
-    dist = {s: 0}
-    frontier = [s]
-    while frontier:
-        ring = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    ring.append(w)
-        frontier = ring
-    return dist
+@PROPERTY_SETTINGS
+@given(st.one_of(graphs, triangulated_grids(), caterpillars()), st.data())
+def test_rings_are_the_breadth_first_distance_layers(g, data):
+    """``_rings(sources, r)`` yields r + 1 layers, layer j holding each
+    vertex at distance j from the sources once.  Radii run past the
+    farthest vertex, so trailing layers come out empty; with no sources
+    every layer is empty."""
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=4))
+    dist = distances(g, *sources)
+    radius = data.draw(st.integers(0, max(dist.values(), default=0) + 2))
+    engine = PartitionOracle(g, SeedContext(0, desk_params(g.d)))
+    layers = list(engine._rings(sources, radius))
+    assert len(layers) == radius + 1
+    for r, layer in enumerate(layers):
+        assert len(layer) == len(set(layer)), r
+        assert set(layer) == {u for u, d in dist.items() if d == r}, r
 
 
 @pytest.mark.parametrize("arithmetic", ["double", "exact"])
@@ -631,6 +635,29 @@ def test_seed_hashes_equal_a_keyed_blake2b_reference(seed, delta):
     for upper in (1, 2, 3, 1000, 2 ** 64, 2 ** 64 + 1, 3 * 2 ** 100):
         for i in range(20):
             assert ctx.below(upper, "b", i) == reference_below(seed, upper, "b", i)
+
+
+@PROPERTY_SETTINGS
+@given(
+    master_seeds,
+    st.lists(st.integers(0, 2 ** 70), max_size=20),
+    st.lists(st.integers(0, 2 ** 70), max_size=20),
+)
+def test_phase_and_walk_tables_draw_the_reference_values_on_first_read(
+    seed, phase_reads, walk_reads
+):
+    """A fresh context's ``phases[v]`` and ``walk_lens[v]`` are the keyed
+    BLAKE2b draws, read in any order and with repeats, and each table
+    holds exactly the vertices read from it."""
+    params = desk_params(4, delta=0.05, ell=13)
+    ctx = SeedContext(seed, params)
+    for v in phase_reads:
+        u = (reference_u64(seed, "phase", v) >> 11) / 2 ** 53
+        assert ctx.phases[v] == geometric_from_uniform(u, 0.05, params.h_bar), v
+    for v in walk_reads:
+        assert ctx.walk_lens[v] == reference_below(seed, 13, "walk", v) + 1, v
+    assert ctx.phases.keys() == set(phase_reads)
+    assert ctx.walk_lens.keys() == set(walk_reads)
 
 
 @st.composite

@@ -56,7 +56,6 @@ def test_u64_and_uniform_ranges():
     ctx = make_ctx()
     for i in range(200):
         assert 0 <= ctx.u64("r", i) < 1 << 64
-        assert 0.0 <= ctx.uniform("r", i) < 1.0
 
 
 def test_below_is_exact_and_total():
@@ -82,11 +81,10 @@ def test_below_handles_bounds_wider_than_64_bits():
 @pytest.mark.parametrize("index", [-1, -(2 ** 70), True, False])
 @pytest.mark.parametrize("draw", [
     lambda ctx, i: ctx.u64("x", 3, i),
-    lambda ctx, i: ctx.uniform("x", i),
     lambda ctx, i: ctx.below(10, "x", i),
     lambda ctx, i: ctx.phase_of(i),
     lambda ctx, i: ctx.walk_len_of(i),
-], ids=["u64", "uniform", "below", "phase_of", "walk_len_of"])
+], ids=["u64", "below", "phase_of", "walk_len_of"])
 def test_negative_and_bool_hash_indices_are_rejected_not_aliased(draw, index):
     """True would hash as 1 and False as 0; a negative index has no
     encoding.  Each fails with one error line that names it."""
@@ -97,7 +95,8 @@ def test_negative_and_bool_hash_indices_are_rejected_not_aliased(draw, index):
 @pytest.mark.parametrize("index, vertex", [(True, 1), (False, 0)])
 @pytest.mark.parametrize("name", ["phase_of", "walk_len_of"])
 def test_a_bool_index_is_refused_whether_or_not_its_vertex_is_memoised(name, index, vertex):
-    """Once vertex 1 was memoised, ``phase_of(True)`` returned its phase."""
+    """Once vertex 1 was memoised, ``phase_of(True)`` returned its phase.
+    The tables themselves hold only the vertex that was read."""
     ctx = make_ctx()
     draw = getattr(ctx, name)
     with pytest.raises(ValueError, match=rf"hash index .*got {index}$"):
@@ -105,7 +104,7 @@ def test_a_bool_index_is_refused_whether_or_not_its_vertex_is_memoised(name, ind
     draw(vertex)
     with pytest.raises(ValueError, match=rf"hash index .*got {index}$"):
         draw(index)
-    assert ctx._phase_memo.keys() | ctx._walk_memo.keys() == {vertex}
+    assert ctx.phases.keys() | ctx.walk_lens.keys() == {vertex}
 
 
 def test_geometric_inverse_cdf_small_cases():
@@ -167,7 +166,7 @@ def test_walk_len_is_uniform_on_one_to_ell():
 def test_sample_vertex_in_range_and_deterministic():
     ctx = make_ctx()
     g = bridge_graph()
-    draws = [ctx.sample_vertex(g.n, "findr", 1, i) for i in range(100)]
+    draws = [ctx.below(g.n, "findr", 1, i) for i in range(100)]
     assert all(0 <= v < g.n for v in draws)
-    assert draws == [ctx.sample_vertex(g.n, "findr", 1, i) for i in range(100)]
+    assert draws == [ctx.below(g.n, "findr", 1, i) for i in range(100)]
     assert len(set(draws)) == g.n  # 100 draws from 8 vertices hit all of them

@@ -4,10 +4,12 @@ README's export list names, in backticks, exactly the names in
 ``partition_oracle.__all__``, and each of them resolves, so the surface
 cannot grow back, or shrink, unnoticed.  The benchmark's workloads reach
 the package as ``po.<name>``, so each of those names must stay an
-attribute of the package while the surface shrinks.
+attribute of the package while the surface shrinks.  Inside the package,
+the engine reaches the seed context only through its public names.
 """
 from __future__ import annotations
 
+import ast
 import re
 
 import partition_oracle
@@ -28,3 +30,21 @@ def test_every_export_is_named_in_readme_and_the_bench_still_resolves():
     assert bench_names
     for name in sorted(bench_names):
         assert hasattr(partition_oracle, name), f"po.{name}"
+
+
+def test_the_engine_reads_no_private_attribute_of_the_seed_context():
+    """``oracle.py`` reads phases and walk lengths through the seed
+    context's public tables: no ``ctx._name`` or ``self.ctx._name``, and no
+    name private to ``SeedContext`` anywhere in the module."""
+    tree = ast.parse((REPO_ROOT / "src/partition_oracle/oracle.py").read_text(encoding="utf-8"))
+    params = partition_oracle.derive_params(0.1, 4, "explicit", {})
+    ctx = partition_oracle.SeedContext(0, params)
+    private = {name for name in {*vars(ctx), *vars(type(ctx))}
+               if name.startswith("_") and not name.endswith("__")}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        owner = node.value
+        via_ctx = (isinstance(owner, ast.Name) and owner.id == "ctx"
+                   or isinstance(owner, ast.Attribute) and owner.attr == "ctx")
+        assert not via_ctx and node.attr not in private, (node.lineno, node.attr)
