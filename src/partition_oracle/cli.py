@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
-Every command is deterministic given its arguments: structured outputs are
-canonical JSON (sorted keys) embedding a hash of the resolved run config,
-censuses are CSV, and wall-clock timing goes to stderr so reruns stay
-byte-identical.  Exit codes: 0 success/accept, 3 tester reject, 1 error.
+Each ``cmd_*`` function maps parsed arguments to its output text and exit
+code.  Structured outputs are canonical JSON (sorted keys) embedding a hash
+of the resolved run config, censuses are CSV, and ``gen`` writes its graph
+file itself and returns no text.  ``main`` alone writes the text, to
+``--out`` or stdout, times the command and reports errors; timing and
+diagnostics go to stderr so reruns stay byte-identical.  Exit codes:
+0 success/accept, 3 tester reject, 1 error.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .applications import (
 )
 from .graphs import (
     BoundedDegreeGraph,
-    GraphFormatError,
     check_has_vertices,
     gen_grid,
     gen_random_tree,
@@ -43,9 +45,8 @@ from .graphs import (
     save_graph,
 )
 from .oracle import Partition, PartitionOracle
-from .params import OracleConfigError, ParamError, check_int, derive_params, params_to_dict
+from .params import OracleConfigError, check_int, derive_params, params_to_dict
 from .seeds import SeedContext
-from .solvers import SolverCapError
 
 DEFAULT_CENSUS_CAP = 10_000
 
@@ -69,45 +70,34 @@ def _overrides_from_args(pairs: Sequence[str] | None) -> dict:
     return raw
 
 
-def _config_hash(config: Mapping) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _document(args: argparse.Namespace, payload: dict, **config) -> str:
+    """``payload`` as canonical JSON, led by the command and the hash of its
+    resolved config: the inputs every JSON command takes plus ``config``."""
+    resolved = {
+        "command": args.command,
+        "graph": args.graph,
+        "seed": args.seed,
+        "eps": args.eps,
+        "mode": args.mode,
+        "set": sorted(args.set or []),
+        **config,
+    }
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    document = {
+        "command": args.command,
+        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        **payload,
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(rows: Sequence[Mapping], columns: Sequence[str], out: str | None) -> None:
+def _csv(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(columns), lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({c: ("" if row.get(c) is None else row.get(c)) for c in columns})
-    text = buffer.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _resolved_config(args: argparse.Namespace, **extra) -> dict:
-    config = {
-        "command": args.command,
-        "graph": getattr(args, "graph", None),
-        "seed": getattr(args, "seed", None),
-        "eps": getattr(args, "eps", None),
-        "mode": getattr(args, "mode", None),
-        "set": sorted(getattr(args, "set", None) or []),
-    }
-    config.update(extra)
-    return config
+    return buffer.getvalue()
 
 
 def _oracle_setup(args: argparse.Namespace) -> tuple[BoundedDegreeGraph, SeedContext]:
@@ -118,7 +108,7 @@ def _oracle_setup(args: argparse.Namespace) -> tuple[BoundedDegreeGraph, SeedCon
     return g, SeedContext(args.seed, params)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[str | None, int]:
     kind = args.kind
     dims = args.dims
     if kind in ("grid", "tri-grid"):
@@ -135,11 +125,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown generator kind {kind!r}")
     save_graph(g, args.out)
     print(f"wrote {kind} graph: n={g.n} d={g.d} -> {args.out}", file=sys.stderr)
-    return 0
+    return None, 0
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_partition(args: argparse.Namespace) -> tuple[str | None, int]:
     g, ctx = _oracle_setup(args)
     if args.check:
         report = differential_check(g, ctx)
@@ -151,7 +140,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
                 f"first at {where}",
                 file=sys.stderr,
             )
-            return 1
+            return None, 1
     engine = PartitionOracle(g, ctx)
     if args.use_global:
         partition = engine.global_partition()
@@ -160,10 +149,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             anchors=tuple(engine.find_anchor(v) for v in range(g.n))
         )
     cut = measure_cut(g, partition)
-    config = _resolved_config(args, use_global=bool(args.use_global))
     payload = {
-        "command": "partition",
-        "config_hash": _config_hash(config),
         "n": g.n,
         "d": g.d,
         "seed": args.seed,
@@ -173,20 +159,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
         "anchors": list(partition.anchors),
         "cut_report": cut.to_dict(),
     }
-    _emit_json(payload, args.out)
-    print(f"partition: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0
+    return _document(args, payload, use_global=bool(args.use_global)), 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_query(args: argparse.Namespace) -> tuple[str | None, int]:
     g, ctx = _oracle_setup(args)
     engine = PartitionOracle(g, ctx)
     piece = engine.find_partition(args.vertex)
-    config = _resolved_config(args, vertex=args.vertex)
     payload = {
-        "command": "query",
-        "config_hash": _config_hash(config),
         "n": g.n,
         "d": g.d,
         "seed": args.seed,
@@ -195,13 +175,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         "anchor": engine.find_anchor(args.vertex),
         "piece": list(piece),
     }
-    _emit_json(payload, args.out)
-    print(f"query: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0
+    return _document(args, payload, vertex=args.vertex), 0
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_test(args: argparse.Namespace) -> tuple[str | None, int]:
     g = load_graph(args.graph)
     if args.property not in DECIDERS:
         raise ValueError(
@@ -216,22 +193,12 @@ def cmd_test(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         config=config,
     )
-    run_config = _resolved_config(args, property=args.property, config_file=args.config)
-    payload = {
-        "command": "test",
-        "config_hash": _config_hash(run_config),
-        "property": args.property,
-        "epsilon": args.eps,
-        "seed": args.seed,
-        **detail,
-    }
-    _emit_json(payload, args.out)
-    print(f"test: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0 if detail["verdict"] == "accept" else 3
+    payload = {"property": args.property, "epsilon": args.eps, "seed": args.seed, **detail}
+    text = _document(args, payload, property=args.property, config_file=args.config)
+    return text, 0 if detail["verdict"] == "accept" else 3
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args: argparse.Namespace) -> tuple[str | None, int]:
     g = load_graph(args.graph)
     if args.scorer not in SCORERS:
         raise ValueError(f"unknown scorer {args.scorer!r}; known: {sorted(SCORERS)}")
@@ -252,19 +219,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         config=config,
     )
-    run_config = _resolved_config(
-        args, scorer=args.scorer, samples=samples, config_file=args.config
+    payload = {"scorer": args.scorer, "epsilon": args.eps, **detail}
+    text = _document(
+        args, payload, scorer=args.scorer, samples=samples, config_file=args.config
     )
-    payload = {
-        "command": "estimate",
-        "config_hash": _config_hash(run_config),
-        "scorer": args.scorer,
-        "epsilon": args.eps,
-        **detail,
-    }
-    _emit_json(payload, args.out)
-    print(f"estimate: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0
+    return text, 0
 
 
 def _free_set(g: BoundedDegreeGraph, spec: str) -> tuple[int, ...]:
@@ -289,8 +248,7 @@ def _free_set(g: BoundedDegreeGraph, spec: str) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-def cmd_census(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_census(args: argparse.Namespace) -> tuple[str | None, int]:
     g, ctx = _oracle_setup(args)
     if g.n > DEFAULT_CENSUS_CAP and not args.force:
         raise ValueError(
@@ -298,23 +256,17 @@ def cmd_census(args: argparse.Namespace) -> int:
             "pass --force to run anyway"
         )
     free = _free_set(g, args.free)
+    if args.kind == "good-seed":
+        rows = [{"good_seeds": good_seed_census(g, ctx.params, free)}]
+        return _csv(rows, ("good_seeds",)), 0
     if args.kind == "viability":
         report = viability_census(g, ctx, args.phase, free, ctx.params.k_candidates)
-        _emit_csv(report.rows, ("h", "k", "viable", "meets_quota"), args.out)
-        print(f"summary: {json.dumps(report.summary, sort_keys=True)}", file=sys.stderr)
-    elif args.kind == "leaky":
+        columns = ("h", "k", "viable", "meets_quota")
+    else:  # "leaky": the parser admits only the three kinds
         report = leaky_census(g, ctx.params, args.source, free)
-        _emit_csv(
-            report.rows, ("s", "t", "leaking", "certificate_k", "conductance"), args.out
-        )
-        print(f"summary: {json.dumps(report.summary, sort_keys=True)}", file=sys.stderr)
-    elif args.kind == "good-seed":
-        count = good_seed_census(g, ctx.params, free)
-        _emit_csv([{"good_seeds": count}], ("good_seeds",), args.out)
-    else:
-        raise ValueError(f"unknown census kind {args.kind!r}")
-    print(f"census: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0
+        columns = ("s", "t", "leaking", "certificate_k", "conductance")
+    print(f"summary: {json.dumps(report.summary, sort_keys=True)}", file=sys.stderr)
+    return _csv(report.rows, columns), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,19 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: write its text to ``--out`` or stdout, end a run
+    that did not fail with one ``<command>: N.NNNs`` line on stderr, and
+    turn an error into one ``error: ...`` line and exit code 1."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (
-        GraphFormatError,
-        ParamError,
-        OracleConfigError,
-        SolverCapError,
-        ValueError,
-        OSError,
-    ) as exc:
+        text, code = args.func(args)
+        if text is not None and args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        elif text is not None:
+            sys.stdout.write(text)
+    except (ValueError, OracleConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if code != 1:  # a failed run ends on its reason, as an error does
+        print(f"{args.command}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -150,6 +150,7 @@ def gen_grid(rows: int, cols: int) -> BoundedDegreeGraph:
     if rows < 1 or cols < 1:
         raise GraphFormatError(f"grid dimensions must be >= 1, got {rows}x{cols}")
     n = rows * cols
+    _check_vertex_count(n)  # before building any edge
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -190,6 +191,7 @@ def gen_random_tree(n: int, d: int, seed: int) -> BoundedDegreeGraph:
         raise GraphFormatError(f"tree needs n >= 1, got {n}")
     if d < 2:
         raise GraphFormatError(f"tree generator needs d >= 2, got {d}")
+    _check_vertex_count(n)
     rng = random.Random(seed)
     deg = [0] * n
     tree = [0] * (n + 1)  # Fenwick tree: 1-based prefix counts of spare vertices

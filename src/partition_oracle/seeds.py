@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .diffusion import exact_number
-from .params import OracleParams
+from .params import OracleParams, check_int
 
 _MASK64 = (1 << 64) - 1
 _TWO_53 = float(1 << 53)
@@ -151,9 +151,7 @@ class SeedContext:
 
     def below(self, upper: int, tag: str, *indices: int) -> int:
         """Exact uniform integer in [0, upper) by rejection sampling."""
-        if upper < 1:
-            raise ValueError(f"upper bound must be >= 1, got {upper}")
-        return _draw_below(upper, self._keyed(tag, indices))
+        return _draw_below(check_int(upper, "upper bound", 1), self._keyed(tag, indices))
 
     def phase_of(self, v: int) -> int:
         """The phase h_v in [1, h_bar]: capped geometric with rate delta,

@@ -3,13 +3,18 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
 from partition_oracle import (
+    GraphFormatError,
+    OracleConfigError,
+    ParamError,
     PartitionOracle,
     PhaseThresholds,
     SeedContext,
+    SolverCapError,
     cli,
     derive_params,
     gen_grid,
@@ -53,12 +58,17 @@ def run_json(argv, tmp_path, name="out.json") -> tuple[int, dict, bytes]:
 
 # ----------------------------------------------------------------------- gen
 
-def test_gen_grid_writes_the_expected_header(tmp_path):
+def test_gen_grid_writes_the_expected_header(tmp_path, capsys):
     out = tmp_path / "grid.graph"
     assert main(["gen", "grid", "3", "4", "--out", str(out)]) == 0
     g = load_graph(out)
     assert (g.n, g.d) == (12, 4)
     assert out.read_text().splitlines()[0] == "12 4"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    wrote, timing = captured.err.splitlines()
+    assert wrote == f"wrote grid graph: n=12 d=4 -> {out}"
+    assert re.fullmatch(r"gen: \d+\.\d{3}s", timing)
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -293,12 +303,15 @@ def test_tester_accepts_the_bipartite_bridge(bridge_file, tmp_path):
     assert payload["property"] == "bipartite"
 
 
+def write_triangle(tmp_path) -> str:
+    path = tmp_path / "c3.graph"
+    path.write_text("3 2\n0 1\n0 2\n1 2\n", encoding="ascii")
+    return str(path)
+
+
 def test_tester_rejects_the_triangle(tmp_path):
-    triangle = tmp_path / "c3.graph"
-    triangle.write_text("3 2\n0 1\n0 2\n1 2\n", encoding="ascii")
-    config = write_tester_config(tmp_path)
-    argv = ["test", "--graph", str(triangle), "--property", "bipartite",
-            "--config", config]
+    argv = ["test", "--graph", write_triangle(tmp_path), "--property", "bipartite",
+            "--config", write_tester_config(tmp_path)]
     rc, payload, _ = run_json(argv, tmp_path)
     assert rc == 3
     assert payload["verdict"] == "reject"
@@ -368,11 +381,15 @@ def test_tester_unknown_property_exits_one(bridge_file, capsys):
 
 # ------------------------------------------------------------------ estimate
 
+def write_estimator_config(tmp_path) -> str:
+    path = tmp_path / "estimator.json"
+    path.write_text(json.dumps({"overrides": GOLDEN_SETTINGS}), encoding="utf-8")
+    return str(path)
+
+
 def test_estimate_full_enumeration_on_the_bridge(bridge_file, tmp_path):
-    config = tmp_path / "estimator.json"
-    config.write_text(json.dumps({"overrides": GOLDEN_SETTINGS}), encoding="utf-8")
     argv = ["estimate", "--graph", bridge_file, "--scorer", "matching",
-            "--samples", "all", "--config", str(config)]
+            "--samples", "all", "--config", write_estimator_config(tmp_path)]
     rc, payload, _ = run_json(argv, tmp_path)
     assert rc == 0
     assert payload["estimate"] == 4.0
@@ -492,14 +509,64 @@ def test_census_cap_requires_force(bridge_file, tmp_path, capsys, monkeypatch):
 
 # ------------------------------------------------------------------- plumbing
 
-def test_json_output_goes_to_stdout_without_out(bridge_file, capsys):
-    rc = main(["query", "--graph", bridge_file, "--seed", "0", "0"] + set_args())
-    assert rc == 0
+# Each command that writes a document: its argv on the bridge graph, and the
+# exit code it must end with.
+RUNNER_CASES = {
+    "partition": (lambda g, tmp: ["partition", "--graph", g] + set_args(), 0),
+    "partition-global": (lambda g, tmp: ["partition", "--global", "--graph", g] + set_args(), 0),
+    "query": (lambda g, tmp: ["query", "--graph", g, "0"] + set_args(), 0),
+    "test-accept": (lambda g, tmp: ["test", "--graph", g, "--property", "bipartite",
+                                    "--config", write_tester_config(tmp)], 0),
+    "test-reject": (lambda g, tmp: ["test", "--graph", write_triangle(tmp), "--property",
+                                    "bipartite", "--config", write_tester_config(tmp)], 3),
+    "estimate": (lambda g, tmp: ["estimate", "--graph", g, "--scorer", "matching",
+                                 "--samples", "all", "--config", write_estimator_config(tmp)], 0),
+    "census-viability": (lambda g, tmp: ["census", "--graph", g, "--kind", "viability"]
+                         + set_args(), 0),
+    "census-leaky": (lambda g, tmp: ["census", "--graph", g, "--kind", "leaky"] + set_args(), 0),
+    "census-good-seed": (lambda g, tmp: ["census", "--graph", g, "--kind", "good-seed"]
+                         + set_args(), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(RUNNER_CASES))
+def test_json_output_goes_to_stdout_without_out(bridge_file, tmp_path, capsys, case):
+    """Without ``--out`` stdout carries exactly the bytes ``--out`` writes;
+    with it stdout stays empty, since the bench reads its own last stdout
+    line from the process that calls ``main``.  Either way the run ends on
+    one timing line on stderr."""
+    build, code = RUNNER_CASES[case]
+    argv = build(bridge_file, tmp_path)
+    timing = re.compile(rf"{argv[0]}: \d+\.\d{{3}}s")
+    assert main(argv) == code
+    to_stdout = capsys.readouterr()
+    assert timing.fullmatch(to_stdout.err.splitlines()[-1]), to_stdout.err
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    to_file = capsys.readouterr()
+    assert to_file.out == ""
+    assert timing.fullmatch(to_file.err.splitlines()[-1]), to_file.err
+    assert out.read_bytes() == to_stdout.out.encode("utf-8")
+    if argv[0] != "census":
+        assert json.loads(to_stdout.out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("error", [
+    GraphFormatError("bad graph"),
+    ParamError("bad parameter"),
+    SolverCapError("piece too large"),
+    OracleConfigError("beyond desk scale"),
+    OSError("disk full"),
+], ids=lambda error: type(error).__name__)
+def test_main_reports_a_command_error_on_one_line(bridge_file, capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_query", fail)
+    assert main(["query", "--graph", bridge_file, "0"]) == 1
     captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["v"] == 0
-    # timing lines are kept off stdout so output stays machine-readable
-    assert "query:" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_config_hash_tracks_the_resolved_settings(bridge_file, tmp_path):

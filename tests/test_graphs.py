@@ -80,6 +80,21 @@ def test_vertex_count_cap_is_checked_before_allocating(tmp_path, monkeypatch):
         load_graph(path)
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: gen_grid(5, 4),
+    lambda: gen_triangulated_grid(5, 4),
+    lambda: gen_random_tree(17, 3, 0),
+], ids=["grid", "tri-grid", "tree"])
+def test_generators_refuse_an_over_cap_size_before_building_any_edge(monkeypatch, generate):
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_edges called on an over-cap size")
+
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+    monkeypatch.setattr(BoundedDegreeGraph, "from_edges", refuse)
+    with pytest.raises(GraphFormatError, match=r"vertex count (20|17) exceeds the cap of 16"):
+        generate()
+
+
 def test_single_vertex_graph():
     g = BoundedDegreeGraph.from_edges(1, 2, [])
     assert g.n == 1

@@ -70,6 +70,13 @@ def test_below_is_exact_and_total():
         ctx.below(0, "b")
 
 
+@pytest.mark.parametrize("upper", [True, 2.5, 0, -1, "3"])
+def test_below_refuses_a_bound_that_is_not_an_integer_at_least_one(upper):
+    with pytest.raises(ValueError, match=re.escape(
+            f"upper bound must be an integer >= 1, got {upper!r}")):
+        make_ctx().below(upper, "x", 1)
+
+
 def test_below_handles_bounds_wider_than_64_bits():
     ctx = make_ctx()
     upper = 1 << 80

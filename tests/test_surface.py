@@ -48,3 +48,31 @@ def test_the_engine_reads_no_private_attribute_of_the_seed_context():
         via_ctx = (isinstance(owner, ast.Name) and owner.id == "ctx"
                    or isinstance(owner, ast.Attribute) and owner.attr == "ctx")
         assert not via_ctx and node.attr not in private, (node.lineno, node.attr)
+
+
+def test_only_main_writes_a_command_output_and_times_it():
+    """Each ``cmd_*`` in ``cli.py`` returns its text and exit code, and
+    ``main`` alone writes that text and reads the clock, so the output
+    contract lives in one place.  No other function there reads
+    ``sys.stdout`` or ``time.perf_counter`` or prints to stdout."""
+    tree = ast.parse((REPO_ROOT / "src/partition_oracle/cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    contract = {"sys.stdout", "time.perf_counter"}
+
+    def reads(function: ast.FunctionDef) -> set[str]:
+        found = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found.add(f"{node.value.id}.{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print"
+                  and not any(k.arg == "file" for k in node.keywords)):
+                found.add("sys.stdout")
+        return found
+
+    assert len([name for name in functions if name.startswith("cmd_")]) == 6
+    for name, function in functions.items():
+        if name != "main":
+            assert not reads(function) & contract, name
+    assert reads(functions["main"]) >= contract
+    assert not {"_emit_json", "_emit_csv", "_resolved_config"} & set(functions)
